@@ -39,12 +39,46 @@ const char *dwordType(unsigned WordBits) {
   fatalError("emitC: unsupported word width " + std::to_string(WordBits));
 }
 
-/// Per-statement C emission shared by the C and CUDA emitters.
+/// Defines the carry-chain macros the 64-bit emitC body calls: one
+/// adc/sbb per word on x86-64 (the compiler builtins behind
+/// _addcarry_u64/_subborrow_u64, spelled directly so no intrinsics header
+/// is parsed), the overflow builtins elsewhere. Each macro declares both
+/// results, so a statement stays a definition like every other one.
+/// (Emitted-source tests reject the substring "for"; keep it out.)
+const char *const CarryPrelude =
+    "// Carry chains: MOMA_ADDC(c, s, a, b, cin) declares the 64-bit sum\n"
+    "// s = a + b + cin and its carry c; MOMA_SUBB(c, d, a, b, bin) declares\n"
+    "// d = a - b - bin and its borrow c. One adc/sbb each on x86-64.\n"
+    "#if defined(__x86_64__) && defined(__GNUC__)\n"
+    "#ifdef __clang__\n"
+    "#define MOMA_SBB_U64 __builtin_ia32_subborrow_u64\n"
+    "#else\n"
+    "#define MOMA_SBB_U64 __builtin_ia32_sbb_u64\n"
+    "#endif\n"
+    "#define MOMA_ADDC(c, s, a, b, cin) unsigned long long s; "
+    "uint64_t c = __builtin_ia32_addcarryx_u64((unsigned char)(cin), a, b, "
+    "&s)\n"
+    "#define MOMA_SUBB(c, d, a, b, bin) unsigned long long d; "
+    "uint64_t c = MOMA_SBB_U64((unsigned char)(bin), a, b, &d)\n"
+    "#else\n"
+    "#define MOMA_ADDC(c, s, a, b, cin) uint64_t s; "
+    "uint64_t c = __builtin_add_overflow(a, b, &s); "
+    "c |= __builtin_add_overflow(s, (uint64_t)(cin), &s)\n"
+    "#define MOMA_SUBB(c, d, a, b, bin) uint64_t d; "
+    "uint64_t c = __builtin_sub_overflow(a, b, &d); "
+    "c |= __builtin_sub_overflow(d, (uint64_t)(bin), &d)\n"
+    "#endif\n\n";
+
+/// Per-statement C emission shared by the C, CUDA, grid and vector
+/// emitters. \p CarryMacros routes full-word 64-bit Add/Sub through
+/// CarryPrelude's macros (emitC only); otherwise carries go through the
+/// double word.
 class BodyEmitter {
 public:
-  BodyEmitter(const Kernel &K, unsigned WordBits, std::string Indent)
+  BodyEmitter(const Kernel &K, unsigned WordBits, std::string Indent,
+              bool CarryMacros = false)
       : K(K), WB(WordBits), Indent(std::move(Indent)), WT(wordType(WordBits)),
-        DT(dwordType(WordBits)) {}
+        DT(dwordType(WordBits)), CarryMacros(CarryMacros) {}
 
   std::string run();
 
@@ -74,6 +108,7 @@ private:
   std::string Indent;
   const char *WT;
   const char *DT;
+  bool CarryMacros;
   std::string Out;
   unsigned TempCount = 0;
 };
@@ -84,6 +119,16 @@ void BodyEmitter::emitStmt(const Stmt &S) {
   auto Op = [&](unsigned I) { return ref(S.Operands[I]); };
   auto Res = [&](unsigned I) { return ref(S.Results[I]); };
   auto Width = [&](ValueId Id) { return K.value(Id).Bits; };
+
+  bool IsCarryOp = S.Kind == OpKind::Add || S.Kind == OpKind::Sub;
+  if (CarryMacros && IsCarryOp && Width(S.Results[1]) == WB) {
+    // (carry:1, sum:64) = a +- b [+- cin:1] as one adc/sbb.
+    line(formatv("%s(%s, %s, %s, %s, %s);",
+                 S.Kind == OpKind::Add ? "MOMA_ADDC" : "MOMA_SUBB",
+                 Res(0).c_str(), Res(1).c_str(), Op(0).c_str(), Op(1).c_str(),
+                 S.Operands.size() == 3 ? Op(2).c_str() : "0"));
+    return;
+  }
 
   switch (S.Kind) {
   case OpKind::Const: {
@@ -306,6 +351,9 @@ EmittedKernel moma::codegen::emitC(const LoweredKernel &L,
          " bits. Word order within each\n"
          "// array: most significant first (paper Eq. 14).\n";
   Src += "#include <stdint.h>\n\n";
+  bool CarryMacros = Opts.WordBits == 64;
+  if (CarryMacros)
+    Src += CarryPrelude;
 
   // Signature: outputs first, then inputs (paper listing order).
   std::string Sig;
@@ -344,7 +392,7 @@ EmittedKernel moma::codegen::emitC(const LoweredKernel &L,
   }
   Src += "\n";
 
-  Src += emitScalarBody(K, Opts.WordBits, "  ");
+  Src += BodyEmitter(K, Opts.WordBits, "  ", CarryMacros).run();
 
   // Stores: only the stored words (top pruned words are provably zero).
   Src += "\n";

@@ -12,6 +12,12 @@
 /// used only to capture carries and wide products, explicit carry/borrow
 /// propagation, and Barrett's single conditional subtraction.
 ///
+/// At 64-bit words emitC spells each full-word Add/Sub as one carry-flag
+/// macro call (MOMA_ADDC/MOMA_SUBB, defined at the top of the source), so
+/// the double word holds only products there; emitScalarBody and
+/// emitScalarFunction (CUDA, grid and vector emitters) keep double-word
+/// carries.
+///
 /// The emitted function takes one pointer per kernel port; each port array
 /// holds the value's stored words, most significant first (the paper's
 /// bracket order): for a λ-bit value, ceil(λ/ω₀) words — statically-zero
@@ -63,7 +69,8 @@ struct EmittedKernel {
 EmittedKernel emitC(const rewrite::LoweredKernel &L,
                     const CEmitOptions &Opts = {});
 
-/// Emits only the function body statements (shared with the CUDA emitter).
+/// Emits only the function body statements, carries through the double
+/// word (shared by the CUDA, grid and vector emitters).
 std::string emitScalarBody(const ir::Kernel &K, unsigned WordBits,
                            const std::string &Indent);
 

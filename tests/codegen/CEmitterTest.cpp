@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <sstream>
 #include <string>
 
 using namespace moma;
@@ -38,9 +40,9 @@ jit::HostJit &hostJit() {
   return Jit;
 }
 
-/// Runs the emitted kernel on word arrays decomposed from \p Inputs and
-/// compares every output against the interpreter.
-void checkEmittedAgainstInterp(const LoweredKernel &L, jit::JitModule &M,
+/// Runs the emitted kernel on word arrays decomposed from \p Inputs;
+/// returns one value per output port.
+std::vector<Bignum> runEmitted(const LoweredKernel &L, jit::JitModule &M,
                                const EmittedKernel &EK,
                                const std::vector<Bignum> &Inputs) {
   using U64 = std::uint64_t;
@@ -67,8 +69,10 @@ void checkEmittedAgainstInterp(const LoweredKernel &L, jit::JitModule &M,
     Args.push_back(B.data());
 
   void *Sym = M.symbol(EK.Symbol);
-  ASSERT_NE(Sym, nullptr) << "symbol '" << EK.Symbol << "' not found in "
+  EXPECT_NE(Sym, nullptr) << "symbol '" << EK.Symbol << "' not found in "
                           << M.soPath();
+  if (!Sym)
+    return {};
 
   switch (Args.size()) {
   case 3:
@@ -95,16 +99,30 @@ void checkEmittedAgainstInterp(const LoweredKernel &L, jit::JitModule &M,
                                             Args[6]);
     break;
   default:
-    FAIL() << "unsupported arity " << Args.size();
+    ADD_FAILURE() << "unsupported arity " << Args.size();
+    return {};
   }
 
-  std::vector<Bignum> Expect = interpretLowered(L, Inputs);
-  for (size_t O = 0; O < L.Outputs.size(); ++O) {
-    Bignum Got;
-    for (U64 W : OutBufs[O])
-      Got = (Got << 64) + Bignum(W);
-    EXPECT_EQ(Got, Expect[O]) << "output '" << L.Outputs[O].Name << "'";
+  std::vector<Bignum> Got;
+  for (const std::vector<U64> &Buf : OutBufs) {
+    Bignum V;
+    for (U64 W : Buf)
+      V = (V << 64) + Bignum(W);
+    Got.push_back(V);
   }
+  return Got;
+}
+
+/// Runs the emitted kernel on \p Inputs and compares every output against
+/// the interpreter.
+void checkEmittedAgainstInterp(const LoweredKernel &L, jit::JitModule &M,
+                               const EmittedKernel &EK,
+                               const std::vector<Bignum> &Inputs) {
+  std::vector<Bignum> Got = runEmitted(L, M, EK, Inputs);
+  ASSERT_EQ(Got.size(), L.Outputs.size());
+  std::vector<Bignum> Expect = interpretLowered(L, Inputs);
+  for (size_t O = 0; O < L.Outputs.size(); ++O)
+    EXPECT_EQ(Got[O], Expect[O]) << "output '" << L.Outputs[O].Name << "'";
 }
 
 /// Full pipeline check for one kernel: lower, simplify, emit, JIT,
@@ -242,4 +260,144 @@ TEST(CEmitterIntegration, IdenticalKernelReusesJitModule) {
   EXPECT_TRUE(M3->fromDiskCache());
   EXPECT_EQ(Fresh.stats().DiskHits, 1u);
   EXPECT_EQ(Fresh.stats().Compiles, 0u);
+}
+
+// Carry-chain emission: every 64-bit Add/Sub of a lowered kernel is one
+// MOMA_ADDC/MOMA_SUBB call, and both branches of the emitted prelude (the
+// x86-64 adc/sbb builtins and the portable overflow builtins) agree with
+// Bignum on operands that run each carry chain its full length.
+namespace {
+
+/// Bignum reference: outputs from the data inputs and the modulus.
+using CarryReference = std::vector<Bignum> (*)(
+    const std::vector<Bignum> &Data, const Bignum &Q);
+
+/// 0, 1, q-1, q-2, and two values whose words below q's top word are all
+/// ones: one under q's top word minus one, one under a zero top word.
+std::vector<Bignum> carryStressValues(const Bignum &Q) {
+  unsigned LowBits = 64 * ((Q.bitWidth() - 1) / 64);
+  Bignum Top = (Q >> LowBits) << LowBits;
+  return {Bignum(0), Bignum(1), Q - 1, Q - 2, Top - 1,
+          Bignum::powerOfTwo(LowBits) - 1};
+}
+
+void carryChainCheck(const ScalarKernelSpec &Spec,
+                     Kernel (*Build)(const ScalarKernelSpec &),
+                     unsigned NumData, CarryReference Ref) {
+  LoweredKernel L = lowerToWords(Build(Spec), {});
+  simplifyLowered(L);
+  EmittedKernel EK = emitC(L);
+
+  // Shape: one macro call per Add/Sub; the double word only holds
+  // multiply products.
+  unsigned CarryOps = 0;
+  for (const Stmt &S : L.K.Body)
+    CarryOps += S.Kind == OpKind::Add || S.Kind == OpKind::Sub;
+  ASSERT_GT(CarryOps, 0u);
+  const std::regex Product(R"(  unsigned __int128 t[0-9]+ = )"
+                           R"(\(unsigned __int128\)v[0-9]+ \* v[0-9]+;)");
+  unsigned MacroCalls = 0, Products = 0;
+  std::istringstream Lines(EK.Source);
+  for (std::string Line; std::getline(Lines, Line);) {
+    MacroCalls += Line.rfind("  MOMA_ADDC(", 0) == 0 ||
+                  Line.rfind("  MOMA_SUBB(", 0) == 0;
+    if (Line.find("__int128") != std::string::npos) {
+      EXPECT_TRUE(std::regex_match(Line, Product)) << Line;
+      ++Products;
+    }
+  }
+  EXPECT_EQ(MacroCalls, CarryOps);
+  EXPECT_GT(Products, 0u);
+
+  // The portable branch, selected by a text edit of the x86 guard.
+  EmittedKernel Portable = EK;
+  const std::string Guard = "defined(__x86_64__)";
+  size_t At = Portable.Source.find(Guard);
+  ASSERT_NE(At, std::string::npos);
+  Portable.Source.replace(At, Guard.size(), "0");
+  ASSERT_EQ(Portable.Source.find(Guard), std::string::npos);
+
+  std::shared_ptr<jit::JitModule> M = hostJit().load(EK.Source);
+  ASSERT_NE(M, nullptr) << hostJit().error();
+  std::shared_ptr<jit::JitModule> MP = hostJit().load(Portable.Source);
+  ASSERT_NE(MP, nullptr) << hostJit().error();
+
+  unsigned MBits = Spec.modBits();
+  SeededRng R(0xADC0 + MBits);
+  // An NTT prime and the all-ones modulus 2^m - 1.
+  for (const Bignum &Q : {field::nttPrime(MBits, 8, 55),
+                          Bignum::powerOfTwo(MBits) - 1}) {
+    Bignum Mu = Bignum::powerOfTwo(2 * MBits + 3) / Q;
+    std::vector<Bignum> Stress = carryStressValues(Q);
+    std::vector<std::vector<Bignum>> Cases(1);
+    for (unsigned D = 0; D < NumData; ++D) {
+      std::vector<std::vector<Bignum>> Next;
+      for (const std::vector<Bignum> &Prefix : Cases)
+        for (const Bignum &V : Stress) {
+          Next.push_back(Prefix);
+          Next.back().push_back(V);
+        }
+      Cases = std::move(Next);
+    }
+    for (int I = 0; I < 20; ++I) {
+      std::vector<Bignum> Data;
+      for (unsigned D = 0; D < NumData; ++D)
+        Data.push_back(Bignum::random(R, Q));
+      Cases.push_back(std::move(Data));
+    }
+
+    for (const std::vector<Bignum> &Data : Cases) {
+      std::vector<Bignum> In = Data;
+      In.push_back(Q);
+      In.push_back(Mu);
+      std::vector<Bignum> Expect = Ref(Data, Q);
+      std::vector<Bignum> Got = runEmitted(L, *M, EK, In);
+      std::vector<Bignum> GotPortable = runEmitted(L, *MP, Portable, In);
+      ASSERT_EQ(Got.size(), Expect.size());
+      ASSERT_EQ(GotPortable.size(), Expect.size());
+      for (size_t O = 0; O < Expect.size(); ++O) {
+        std::string Where = "output '" + L.Outputs[O].Name + "', q = " +
+                            Q.toHex() + ", data[0] = " + Data[0].toHex();
+        ASSERT_TRUE(Got[O] == Expect[O])
+            << Where << ": got " << Got[O].toHex() << ", want "
+            << Expect[O].toHex();
+        ASSERT_TRUE(GotPortable[O] == Got[O])
+            << Where << ": portable branch got " << GotPortable[O].toHex()
+            << ", builtin branch " << Got[O].toHex();
+      }
+    }
+  }
+}
+
+std::vector<Bignum> mulModRef(const std::vector<Bignum> &D, const Bignum &Q) {
+  return {D[0] * D[1] % Q};
+}
+std::vector<Bignum> axpyRef(const std::vector<Bignum> &D, const Bignum &Q) {
+  return {(D[0] * D[1] + D[2]) % Q};
+}
+std::vector<Bignum> butterflyRef(const std::vector<Bignum> &D,
+                                 const Bignum &Q) {
+  Bignum T = D[2] * D[1] % Q;
+  return {(D[0] + T) % Q, (D[0] + Q - T) % Q};
+}
+
+} // namespace
+
+TEST(CEmitterCarryChain, MulMod256) {
+  carryChainCheck({256, 0}, kernels::buildMulModKernel, 2, mulModRef);
+}
+TEST(CEmitterCarryChain, Axpy256) {
+  carryChainCheck({256, 0}, kernels::buildAxpyKernel, 3, axpyRef);
+}
+TEST(CEmitterCarryChain, Butterfly256) {
+  carryChainCheck({256, 0}, kernels::buildButterflyKernel, 3, butterflyRef);
+}
+TEST(CEmitterCarryChain, MulMod1024) {
+  carryChainCheck({1024, 0}, kernels::buildMulModKernel, 2, mulModRef);
+}
+TEST(CEmitterCarryChain, Axpy1024) {
+  carryChainCheck({1024, 0}, kernels::buildAxpyKernel, 3, axpyRef);
+}
+TEST(CEmitterCarryChain, Butterfly1024) {
+  carryChainCheck({1024, 0}, kernels::buildButterflyKernel, 3, butterflyRef);
 }
