@@ -14,7 +14,7 @@
 #include "codegen/CEmitter.h"
 #include "kernels/ScalarKernels.h"
 #include "rewrite/Lower.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PassManager.h"
 #include "rewrite/Stats.h"
 
 #include <benchmark/benchmark.h>
@@ -42,7 +42,7 @@ void registerWidth(unsigned Bits) {
         for (auto _ : S) {
           LoweredKernel L =
               lowerToWords(kernels::buildMulModKernel(Spec), {});
-          simplifyLowered(L);
+          defaultPipeline().runLowered(L);
           codegen::EmittedKernel EK = codegen::emitC(L);
           benchmark::DoNotOptimize(EK.Source.size());
         }
@@ -71,7 +71,7 @@ int main(int argc, char **argv) {
     double Full = lookupNs(C, formatv("lower+simplify+emit/%u", Bits));
     kernels::ScalarKernelSpec Spec{Bits, 0};
     LoweredKernel L = lowerToWords(kernels::buildMulModKernel(Spec), {});
-    simplifyLowered(L);
+    defaultPipeline().runLowered(L);
     T.addRow({formatv("%u", Bits), formatNanos(Lower), formatNanos(Full),
               formatv("%zu", L.K.size()),
               Prev > 0 ? formatv("%.1fx", Full / Prev) : "-"});

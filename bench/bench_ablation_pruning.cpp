@@ -17,7 +17,7 @@
 #include "kernels/ScalarKernels.h"
 #include "mw/Barrett.h"
 #include "rewrite/Lower.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PassManager.h"
 #include "rewrite/Stats.h"
 #include "support/Rng.h"
 
@@ -35,7 +35,7 @@ namespace {
 OpStats loweredStats(unsigned Container, unsigned ModBits) {
   kernels::ScalarKernelSpec Spec{Container, ModBits};
   LoweredKernel L = lowerToWords(kernels::buildMulModKernel(Spec), {});
-  simplifyLowered(L);
+  defaultPipeline().runLowered(L);
   return countOps(L.K);
 }
 

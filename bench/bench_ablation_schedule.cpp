@@ -12,8 +12,8 @@
 
 #include "kernels/ScalarKernels.h"
 #include "rewrite/Lower.h"
+#include "rewrite/PassManager.h"
 #include "rewrite/Schedule.h"
-#include "rewrite/Simplify.h"
 
 #include <benchmark/benchmark.h>
 
@@ -33,7 +33,7 @@ int main(int, char **) {
     unsigned Words = Bits / 64;
     kernels::ScalarKernelSpec Spec{Words * 64, Bits - 4};
     LoweredKernel L = lowerToWords(kernels::buildButterflyKernel(Spec), {});
-    simplifyLowered(L);
+    defaultPipeline().runLowered(L);
     PressureStats Before = measurePressure(L.K);
     ir::Kernel Scheduled = L.K;
     PressureStats After = scheduleForPressure(Scheduled);
@@ -51,7 +51,7 @@ int main(int, char **) {
   for (unsigned Bits : {128u, 256u, 512u, 1024u}) {
     kernels::ScalarKernelSpec Spec{Bits, 0};
     LoweredKernel L = lowerToWords(kernels::buildButterflyKernel(Spec), {});
-    simplifyLowered(L);
+    defaultPipeline().runLowered(L);
     auto T0 = std::chrono::steady_clock::now();
     scheduleForPressure(L.K);
     double Ns = std::chrono::duration<double, std::nano>(

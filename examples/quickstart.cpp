@@ -13,7 +13,7 @@
 #include "field/PrimeField.h"
 #include "kernels/ScalarKernels.h"
 #include "ntt/Ntt.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PassManager.h"
 #include "rewrite/Stats.h"
 #include "support/Rng.h"
 
@@ -61,7 +61,7 @@ int main() {
   kernels::ScalarKernelSpec Spec{256, 0};
   ir::Kernel K = kernels::buildMulModKernel(Spec);
   rewrite::LoweredKernel L = rewrite::lowerToWords(K, {});
-  rewrite::simplifyLowered(L);
+  rewrite::defaultPipeline().runLowered(L);
   rewrite::OpStats Stats = rewrite::countOps(L.K);
   std::printf("\n256-bit mulmod lowered in %u rounds to %u word "
               "statements\n(%u word multiplies, %u add/sub):\n",

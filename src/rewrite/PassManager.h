@@ -6,11 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pass manager behind rewrite/Simplify.h. The §4 pruning rewrite used
-/// to be one monolithic Rewriter; it is now a pipeline of small passes
+/// The pass manager of the §4 pruning rewrite. That rewrite used to be
+/// one monolithic Rewriter; it is now a pipeline of small passes
 /// (rewrite/Passes.h) driven to a fixed point by PassPipeline, so each rule
 /// family is testable alone and new passes (CSE, interval range analysis,
-/// dead-port elimination) compose with the originals.
+/// dead-port elimination) compose with the originals. The plain
+/// simplifier is defaultPipeline().run(K) or .runLowered(L); lowerWithPlan
+/// (rewrite/PlanOptions.h) runs the pipeline a plan's Passes spec names.
 ///
 /// The contract every pass obeys:
 ///
@@ -22,7 +24,7 @@
 ///  * a pass that finds nothing to do must leave K untouched and report
 ///    zero changes — fixpoint detection depends on it.
 ///
-/// Pipelines are built by name (makePipeline) from the pass catalog; the
+/// Pipelines are built by name (parsePipeline) from the pass catalog; the
 /// "default" pipeline reproduces the historical Simplify behaviour and the
 /// "extended" pipeline adds the passes the monolith could not express.
 ///
@@ -157,9 +159,10 @@ std::vector<std::string> passCatalog();
 /// Creates one pass by catalog name; null when the name is unknown.
 std::unique_ptr<Pass> createPass(const std::string &Name);
 
-/// Builds a pipeline from \p Spec: "default", "extended", or a comma-
-/// separated list of catalog names. Returns false (with a message in
-/// \p Err when non-null) on an unknown name or empty list.
+/// Builds a pipeline from \p Spec: "default" (also the empty spec),
+/// "extended", or a comma-separated list of catalog names. Returns false
+/// (with a message in \p Err when non-null) on an unknown name or empty
+/// list.
 bool parsePipeline(const std::string &Spec, PassPipeline &Out,
                    std::string *Err = nullptr);
 

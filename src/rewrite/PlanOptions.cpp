@@ -9,7 +9,6 @@
 
 #include "rewrite/PassManager.h"
 #include "rewrite/Schedule.h"
-#include "rewrite/Simplify.h"
 #include "support/Error.h"
 #include "support/Format.h"
 
@@ -68,15 +67,11 @@ LoweredKernel moma::rewrite::lowerWithPlan(const ir::Kernel &K,
                                            const PlanOptions &Opts) {
   LoweredKernel L = lowerToWords(K, Opts.lowerOptions());
   if (Opts.Prune) {
-    if (Opts.normalizedPasses().empty()) {
-      simplifyLowered(L);
-    } else {
-      PassPipeline P;
-      std::string Err;
-      if (!parsePipeline(Opts.Passes, P, &Err))
-        fatalError(formatv("lowerWithPlan: %s", Err.c_str()));
-      P.runLowered(L);
-    }
+    PassPipeline P;
+    std::string Err;
+    if (!parsePipeline(Opts.Passes, P, &Err))
+      fatalError(formatv("lowerWithPlan: %s", Err.c_str()));
+    P.runLowered(L);
   }
   if (Opts.Schedule)
     scheduleForPressure(L.K, Opts.TargetWordBits);

@@ -167,9 +167,9 @@ struct PlanOptions {
 };
 
 /// The full generation pipeline under one set of knobs:
-/// lowerToWords, then (if Prune) simplifyLowered, then (if Schedule)
-/// scheduleForPressure. This is the one lowering entry point the runtime,
-/// tools, and tests share.
+/// lowerToWords, then (if Prune) the Passes pipeline run to a fixed point
+/// (rewrite/PassManager.h), then (if Schedule) scheduleForPressure. This
+/// is the one lowering entry point the runtime, tools, and tests share.
 LoweredKernel lowerWithPlan(const ir::Kernel &K, const PlanOptions &Opts);
 
 } // namespace rewrite

@@ -32,6 +32,9 @@ using mw::Bignum;
 
 namespace {
 
+/// The tune-cache format save() writes and load() accepts.
+constexpr unsigned CacheVersion = 5;
+
 struct JValue {
   enum Kind { Null, Bool, Num, Str, Arr, Obj } K = Null;
   bool B = false;
@@ -616,17 +619,8 @@ bool Autotuner::save(const std::string &Path) const {
 }
 
 bool Autotuner::saveLocked(const std::string &Path) const {
-  // Version 2 added the backend and block_dim fields (and size-bucketed
-  // problem keys); version 3 added fuse_depth (and /ntt<logn>-keyed
-  // transform problems); version 4 added ring (and /neg-keyed negacyclic
-  // problems); version 5 adds vector_width (and the "vector" backend
-  // name). The reader skips unknown fields and defaults absent ones, so
-  // older files keep loading — version-1 entries simply never match a
-  // bucketed problem key and are ignored, version-2 entries default to
-  // the unfused depth, version-3 entries to the cyclic ring, version-4
-  // entries never name the vector backend so the lane width stays 0.
   std::ostringstream SS;
-  SS << "{\n  \"version\": 5,\n  \"entries\": [";
+  SS << "{\n  \"version\": " << CacheVersion << ",\n  \"entries\": [";
   bool First = true;
   for (const auto &E : Decisions) {
     const TuneDecision &D = E.second;
@@ -666,6 +660,15 @@ bool Autotuner::load(const std::string &Path) {
   JValue Root;
   if (!JParser(SS.str()).parse(Root) || Root.K != JValue::Obj) {
     Err.set("Autotuner: " + Path + " is not valid tune-cache JSON");
+    return false;
+  }
+  // The cache is per machine and rebuilds itself: a file in any other
+  // format is refused whole, and the problems it held are tuned afresh.
+  const JValue *V = Root.field("version");
+  double Version = V && V->K == JValue::Num ? V->N : 0;
+  if (Version != CacheVersion) {
+    Err.set(formatv("Autotuner: %s is tune-cache version %g, expected %u",
+                    Path.c_str(), Version, CacheVersion));
     return false;
   }
   const JValue *Entries = Root.field("entries");

@@ -134,8 +134,10 @@ public:
 
   /// Merges decisions from a JSON file produced by save(). Entries loaded
   /// here are served with FromCache = true and are never re-timed.
-  /// Returns false (with error()) on I/O or parse failure; a missing file
-  /// is reported as failure but leaves the tuner usable.
+  /// Returns false (with error()) on I/O or parse failure and on a file
+  /// of any other tune-cache version (error() names it); either way no
+  /// entry is loaded and the tuner stays usable, tuning those problems
+  /// afresh.
   bool load(const std::string &Path);
 
   /// Diagnostics from the calling thread's most recent failed call;

@@ -30,10 +30,6 @@ using GridFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
                           const std::uint64_t *const *,
                           const std::uint64_t *,
                           const std::uint64_t *const *);
-using StageFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
-                           std::uint64_t, std::uint64_t, std::uint64_t *,
-                           const std::uint64_t *,
-                           const std::uint64_t *const *);
 using FusedFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
                            std::uint64_t, std::uint64_t, std::uint64_t,
                            std::uint64_t *, const std::uint64_t *,
@@ -45,10 +41,6 @@ using FusedFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
 using VecFnTy = void (*)(std::uint64_t, std::uint64_t,
                          std::uint64_t *const *, const std::uint64_t *const *,
                          const std::uint64_t *, const std::uint64_t *const *);
-using VecStageFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
-                              std::uint64_t, std::uint64_t *,
-                              const std::uint64_t *,
-                              const std::uint64_t *const *);
 using VecFusedFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
                               std::uint64_t, std::uint64_t, std::uint64_t *,
                               const std::uint64_t *, const std::uint64_t *,
@@ -58,7 +50,7 @@ using VecFusedFnTy = void (*)(std::uint64_t, std::uint64_t, std::uint64_t,
 
 bool checkButterflyShape(const CompiledPlan &P, std::string *Err) {
   if (P.NumOutputs != 2 || P.NumDataInputs != 3)
-    return fail(Err, "runStage: plan is not a butterfly kernel");
+    return fail(Err, "runStageGroup: plan is not a butterfly kernel");
   return true;
 }
 
@@ -84,12 +76,53 @@ bool checkStageGroup(const StageGroup &G, size_t NPoints, std::string *Err) {
   return true;
 }
 
+/// Calls \p Fn with \p N pointer arguments. The emitted-kernel ABI is
+/// void(f)(port0*, port1*, ...); arities cover every runtime kernel shape
+/// (butterfly/montgomery peaks at 8 ports).
+inline bool callPorts(void *Fn, void *const *A, size_t N) {
+  using P = void *;
+  switch (N) {
+  case 3:
+    reinterpret_cast<void (*)(P, P, P)>(Fn)(A[0], A[1], A[2]);
+    return true;
+  case 4:
+    reinterpret_cast<void (*)(P, P, P, P)>(Fn)(A[0], A[1], A[2], A[3]);
+    return true;
+  case 5:
+    reinterpret_cast<void (*)(P, P, P, P, P)>(Fn)(A[0], A[1], A[2], A[3],
+                                                  A[4]);
+    return true;
+  case 6:
+    reinterpret_cast<void (*)(P, P, P, P, P, P)>(Fn)(A[0], A[1], A[2], A[3],
+                                                     A[4], A[5]);
+    return true;
+  case 7:
+    reinterpret_cast<void (*)(P, P, P, P, P, P, P)>(Fn)(A[0], A[1], A[2],
+                                                        A[3], A[4], A[5],
+                                                        A[6]);
+    return true;
+  case 8:
+    reinterpret_cast<void (*)(P, P, P, P, P, P, P, P)>(Fn)(
+        A[0], A[1], A[2], A[3], A[4], A[5], A[6], A[7]);
+    return true;
+  default:
+    return false;
+  }
+}
+
 /// How a host-side walker invokes the plan for one element/butterfly.
-/// The serial backend passes callPlan (the JIT'd scalar entry point); the
-/// interp backend passes interpInvoke. Sharing the walkers this way keeps
-/// the two backends' butterfly order identical by construction, which is
-/// what makes interp fallback results bit-identical to JIT results.
+/// The walkers take the invoker as a template argument: the serial
+/// backend instantiates them with jitInvoke (the JIT'd scalar entry
+/// point, inlined into the loop), the interp backend with interpInvoke.
+/// Sharing the walkers this way keeps the two backends' butterfly order
+/// identical by construction, which is what makes interp fallback results
+/// bit-identical to JIT results.
 using InvokeFn = bool (*)(const CompiledPlan &, void *const *);
+
+/// The serial invoker: one call of the plan's JIT'd scalar entry point.
+inline bool jitInvoke(const CompiledPlan &P, void *const *Ports) {
+  return P.Fn && callPorts(P.Fn, Ports, P.numPorts());
+}
 
 /// The interpreter invoker: unpacks every port into a Bignum (inputs
 /// first, so in-place butterflies see a consistent snapshot), runs the
@@ -114,14 +147,24 @@ bool interpInvoke(const CompiledPlan &P, void *const *Ports) {
 
 /// Element-loop walker shared by the host backends (serial and interp):
 /// one invoker call per element with the same port addressing as the
-/// grid's e = by*n + i indexing. \p N is the flat element count.
+/// grid's e = by*n + i indexing. \p N is the flat element count. Output
+/// may alias input arrays: the emitted kernels load every input word
+/// before storing any output word.
+template <InvokeFn Invoke>
 bool hostRunElements(const CompiledPlan &P, const BatchArgs &Args, size_t N,
-                     std::string *Err, InvokeFn Invoke) {
-  if (Args.Outs.size() != P.NumOutputs ||
-      Args.Ins.size() != P.NumDataInputs ||
-      Args.Aux.size() != P.AuxWords.size() ||
-      (!Args.InStrides.empty() && Args.InStrides.size() != Args.Ins.size()))
-    return fail(Err, "runBatch: argument shape mismatch");
+                     std::string *Err) {
+  if (Args.Outs.size() != P.NumOutputs)
+    return fail(Err, formatv("runBatch: expected %u output arrays, got %zu",
+                             P.NumOutputs, Args.Outs.size()));
+  if (Args.Ins.size() != P.NumDataInputs)
+    return fail(Err, formatv("runBatch: expected %u input arrays, got %zu",
+                             P.NumDataInputs, Args.Ins.size()));
+  if (!Args.InStrides.empty() && Args.InStrides.size() != Args.Ins.size())
+    return fail(Err, "runBatch: InStrides must be empty or match Ins");
+  if (Args.Aux.size() != P.AuxWords.size())
+    return fail(Err, formatv("runBatch: expected %zu broadcast aux arrays, "
+                             "got %zu",
+                             P.AuxWords.size(), Args.Aux.size()));
   size_t NumPorts = P.numPorts();
   void *Ports[8];
   if (NumPorts > 8)
@@ -144,52 +187,14 @@ bool hostRunElements(const CompiledPlan &P, const BatchArgs &Args, size_t N,
   return true;
 }
 
-/// Radix-2 NTT stage walker shared by the host backends.
-bool hostRunStage(const CompiledPlan &P, std::uint64_t *Data,
-                  const std::uint64_t *StageTw,
-                  const std::vector<const std::uint64_t *> &Aux,
-                  size_t NPoints, size_t Len, size_t Batch, std::string *Err,
-                  InvokeFn Invoke) {
-  if (!checkButterflyShape(P, Err))
-    return false;
-  unsigned K = P.ElemWords;
-  size_t NumPorts = P.numPorts();
-  if (Aux.size() != P.AuxWords.size() || NumPorts > 8)
-    return fail(Err, "runStage: aux/port shape mismatch");
-
-  // Port frame reused across every butterfly: xo yo | x y w | q aux...
-  void *Ports[8];
-  for (size_t I = 0; I < Aux.size(); ++I)
-    Ports[5 + I] = const_cast<std::uint64_t *>(Aux[I]);
-  for (size_t B = 0; B < Batch; ++B) {
-    std::uint64_t *Poly = Data + B * NPoints * K;
-    for (size_t I0 = 0; I0 < NPoints; I0 += 2 * Len) {
-      for (size_t J = 0; J < Len; ++J) {
-        std::uint64_t *X = Poly + (I0 + J) * K;
-        std::uint64_t *Y = X + Len * K;
-        Ports[0] = X;
-        Ports[1] = Y;
-        Ports[2] = X;
-        Ports[3] = Y;
-        Ports[4] = const_cast<std::uint64_t *>(StageTw + J * K);
-        if (!Invoke(P, Ports))
-          return fail(Err, formatv("runStage: unsupported butterfly arity "
-                                   "%zu",
-                                   NumPorts));
-      }
-    }
-  }
-  return true;
-}
-
 /// Fused stage-group walker shared by the host backends: the host-side
 /// mirror of the emitted fused kernel (same geometry, same butterfly
 /// order — bit-identical by construction across invokers too).
+template <InvokeFn Invoke>
 bool hostRunStageGroup(const CompiledPlan &P, const StageGroup &G,
                        const std::uint64_t *Tw,
                        const std::vector<const std::uint64_t *> &Aux,
-                       size_t NPoints, size_t Batch, std::string *Err,
-                       InvokeFn Invoke) {
+                       size_t NPoints, size_t Batch, std::string *Err) {
   if (!checkButterflyShape(P, Err) || !checkStageGroup(G, NPoints, Err))
     return false;
   unsigned K = P.ElemWords;
@@ -311,6 +316,10 @@ bool hostRunStageGroup(const CompiledPlan &P, const StageGroup &G,
 
 } // namespace
 
+bool moma::runtime::callPlan(const CompiledPlan &P, void *const *Ports) {
+  return jitInvoke(P, Ports);
+}
+
 //===----------------------------------------------------------------------===//
 // SerialBackend
 //===----------------------------------------------------------------------===//
@@ -323,19 +332,7 @@ bool SerialBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
   // Row-major batch rows are contiguous, so the serial element loop is the
   // flat product; broadcast (stride 0) inputs broadcast across every row
   // exactly as the grid's e = by*n + i indexing does.
-  return moma::runtime::runBatch(P, Args, N * Rows, Err);
-}
-
-bool SerialBackend::runStage(const CompiledPlan &P, std::uint64_t *Data,
-                             const std::uint64_t *StageTw,
-                             const std::vector<const std::uint64_t *> &Aux,
-                             size_t NPoints, size_t Len, size_t Batch,
-                             std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::Serial)
-    return fail(Err, formatv("serial backend cannot run a %s plan",
-                             rewrite::execBackendName(P.Key.Opts.Backend)));
-  return hostRunStage(P, Data, StageTw, Aux, NPoints, Len, Batch, Err,
-                      callPlan);
+  return hostRunElements<jitInvoke>(P, Args, N * Rows, Err);
 }
 
 bool SerialBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
@@ -347,7 +344,7 @@ bool SerialBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
   if (P.Key.Opts.Backend != rewrite::ExecBackend::Serial)
     return fail(Err, formatv("serial backend cannot run a %s plan",
                              rewrite::execBackendName(P.Key.Opts.Backend)));
-  return hostRunStageGroup(P, G, Tw, Aux, NPoints, Batch, Err, callPlan);
+  return hostRunStageGroup<jitInvoke>(P, G, Tw, Aux, NPoints, Batch, Err);
 }
 
 //===----------------------------------------------------------------------===//
@@ -360,18 +357,7 @@ bool InterpBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
     return fail(Err, "interp backend needs an interpreter plan");
   // Same flat element product as the serial backend; every call runs the
   // scalar kernel through ir::interpret.
-  return hostRunElements(P, Args, N * Rows, Err, interpInvoke);
-}
-
-bool InterpBackend::runStage(const CompiledPlan &P, std::uint64_t *Data,
-                             const std::uint64_t *StageTw,
-                             const std::vector<const std::uint64_t *> &Aux,
-                             size_t NPoints, size_t Len, size_t Batch,
-                             std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::Interp || !P.InterpKernel)
-    return fail(Err, "interp backend needs an interpreter plan");
-  return hostRunStage(P, Data, StageTw, Aux, NPoints, Len, Batch, Err,
-                      interpInvoke);
+  return hostRunElements<interpInvoke>(P, Args, N * Rows, Err);
 }
 
 bool InterpBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
@@ -382,7 +368,8 @@ bool InterpBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
                                   std::string *Err) const {
   if (P.Key.Opts.Backend != rewrite::ExecBackend::Interp || !P.InterpKernel)
     return fail(Err, "interp backend needs an interpreter plan");
-  return hostRunStageGroup(P, G, Tw, Aux, NPoints, Batch, Err, interpInvoke);
+  return hostRunStageGroup<interpInvoke>(P, G, Tw, Aux, NPoints, Batch,
+                                         Err);
 }
 
 //===----------------------------------------------------------------------===//
@@ -445,52 +432,18 @@ bool SimGpuBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
   return true;
 }
 
-bool SimGpuBackend::runStage(const CompiledPlan &P, std::uint64_t *Data,
-                             const std::uint64_t *StageTw,
-                             const std::vector<const std::uint64_t *> &Aux,
-                             size_t NPoints, size_t Len, size_t Batch,
-                             std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::SimGpu || !P.StageFn)
-    return fail(Err, "sim-GPU backend needs a plan compiled with a stage "
-                     "entry point");
-  if (!checkButterflyShape(P, Err) || !validGeometry(P, Err))
-    return false;
-  if (Aux.size() != P.AuxWords.size())
-    return fail(Err, "runStage: aux shape mismatch");
-  if (Batch == 0 || NPoints < 2)
-    return true;
-
-  unsigned BD = P.Key.Opts.BlockDim;
-  std::uint64_t Butterflies = NPoints / 2;
-  std::uint64_t GridX = (Butterflies + BD - 1) / BD;
-  if (GridX > std::numeric_limits<std::uint32_t>::max() ||
-      Batch > std::numeric_limits<std::uint32_t>::max())
-    return fail(Err, "sim-GPU runStage: grid too large");
-
-  sim::LaunchConfig Cfg;
-  Cfg.GridX = static_cast<std::uint32_t>(GridX);
-  Cfg.GridY = static_cast<std::uint32_t>(Batch); // paper 5.1 batch dim
-  Cfg.BlockDim = BD;
-  if (std::string VErr = Dev.validate(Cfg); !VErr.empty())
-    return fail(Err, "sim-GPU launch: " + VErr);
-  auto Fn = reinterpret_cast<StageFnTy>(P.StageFn);
-  Dev.launchBlocks(Cfg, [&](std::uint32_t BX, std::uint32_t BY) {
-    Fn(BX, BY, BD, NPoints, Len, Data, StageTw, Aux.data());
-  });
-  return true;
-}
-
 bool SimGpuBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
                                   const std::uint64_t *Tw,
                                   const std::vector<const std::uint64_t *>
                                       &Aux,
                                   size_t NPoints, size_t Batch,
                                   std::string *Err) const {
+  if (!checkButterflyShape(P, Err))
+    return false;
   if (P.Key.Opts.Backend != rewrite::ExecBackend::SimGpu || !P.FusedFn)
     return fail(Err, "sim-GPU backend needs a plan compiled with a fused "
                      "stage-group entry point");
-  if (!checkButterflyShape(P, Err) || !validGeometry(P, Err) ||
-      !checkStageGroup(G, NPoints, Err))
+  if (!validGeometry(P, Err) || !checkStageGroup(G, NPoints, Err))
     return false;
   if (Aux.size() != P.AuxWords.size())
     return fail(Err, "runStageGroup: aux shape mismatch");
@@ -548,35 +501,18 @@ bool VectorBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
   return true;
 }
 
-bool VectorBackend::runStage(const CompiledPlan &P, std::uint64_t *Data,
-                             const std::uint64_t *StageTw,
-                             const std::vector<const std::uint64_t *> &Aux,
-                             size_t NPoints, size_t Len, size_t Batch,
-                             std::string *Err) const {
-  if (P.Key.Opts.Backend != rewrite::ExecBackend::Vector || !P.VecStageFn)
-    return fail(Err, "vector backend needs a plan compiled with a stage "
-                     "entry point");
-  if (!checkButterflyShape(P, Err))
-    return false;
-  if (Aux.size() != P.AuxWords.size())
-    return fail(Err, "runStage: aux shape mismatch");
-  if (Batch == 0 || NPoints < 2)
-    return true;
-  auto Fn = reinterpret_cast<VecStageFnTy>(P.VecStageFn);
-  Fn(P.Key.Opts.VectorWidth, Batch, NPoints, Len, Data, StageTw, Aux.data());
-  return true;
-}
-
 bool VectorBackend::runStageGroup(const CompiledPlan &P, const StageGroup &G,
                                   const std::uint64_t *Tw,
                                   const std::vector<const std::uint64_t *>
                                       &Aux,
                                   size_t NPoints, size_t Batch,
                                   std::string *Err) const {
+  if (!checkButterflyShape(P, Err))
+    return false;
   if (P.Key.Opts.Backend != rewrite::ExecBackend::Vector || !P.VecFusedFn)
     return fail(Err, "vector backend needs a plan compiled with a fused "
                      "stage-group entry point");
-  if (!checkButterflyShape(P, Err) || !checkStageGroup(G, NPoints, Err))
+  if (!checkStageGroup(G, NPoints, Err))
     return false;
   if (Aux.size() != P.AuxWords.size())
     return fail(Err, "runStageGroup: aux shape mismatch");

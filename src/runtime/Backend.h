@@ -10,7 +10,7 @@
 /// ExecutionBackend, of which there are four —
 ///
 ///  * SerialBackend: the original host-JIT model, one scalar call per
-///    element (per butterfly for NTT stages) on the calling thread;
+///    element (per butterfly for NTT stage groups) on the calling thread;
 ///  * SimGpuBackend: the paper's §5.1 grid/block mapping — the plan's
 ///    grid-shaped entry points (codegen/GridEmitter.h) launched block-wise
 ///    over a sim::Device thread pool, grid y indexing the batch;
@@ -20,8 +20,8 @@
 ///    chunk) and compiled by the JIT at -O3 -march=native;
 ///  * InterpBackend: no machine code at all — every element call runs the
 ///    plan's scalar kernel through ir::Interp. It walks the exact same
-///    element/stage/stage-group geometry as the serial backend (the
-///    walkers are shared, parameterized on the per-call invoker), so its
+///    element/stage-group geometry as the serial backend (the walkers
+///    are shared, templated on the per-call invoker), so its
 ///    results are bit-identical to every JIT backend; it exists as the
 ///    terminal rung of the degradation ladder when the host compiler is
 ///    unavailable (DESIGN.md "Failure model & the degradation ladder").
@@ -71,6 +71,13 @@ struct StageGroup {
   unsigned ScaleStride = 0; ///< 0 = broadcast, ElemWords = per element
 };
 
+/// Calls \p P.Fn once with pre-assembled port pointers (P.numPorts()
+/// entries: outputs, data inputs, broadcast tail): the serial backend's
+/// per-element invoker. Batch callers go through
+/// ExecutionBackend::runBatch. Returns false on a null entry point or an
+/// unsupported arity.
+bool callPlan(const CompiledPlan &P, void *const *Ports);
+
 /// Abstract execution substrate for compiled plans. Implementations are
 /// not thread-safe with respect to one plan's buffers (callers own the
 /// batch memory), but hold no per-call state of their own.
@@ -87,16 +94,6 @@ public:
   /// in \p Err when non-null.
   virtual bool runBatch(const CompiledPlan &P, const BatchArgs &Args,
                         size_t N, size_t Rows,
-                        std::string *Err = nullptr) const = 0;
-
-  /// One in-place NTT butterfly stage (half-distance \p Len) over
-  /// \p Batch rows of \p NPoints elements in \p Data; \p StageTw points at
-  /// the stage's twiddle table (Len entries of ElemWords words), \p Aux at
-  /// the plan's broadcast tail. \p P must be a butterfly plan.
-  virtual bool runStage(const CompiledPlan &P, std::uint64_t *Data,
-                        const std::uint64_t *StageTw,
-                        const std::vector<const std::uint64_t *> &Aux,
-                        size_t NPoints, size_t Len, size_t Batch,
                         std::string *Err = nullptr) const = 0;
 
   /// One fused stage-group dispatch over \p Batch rows of \p NPoints
@@ -120,11 +117,6 @@ public:
   }
   bool runBatch(const CompiledPlan &P, const BatchArgs &Args, size_t N,
                 size_t Rows, std::string *Err = nullptr) const override;
-  bool runStage(const CompiledPlan &P, std::uint64_t *Data,
-                const std::uint64_t *StageTw,
-                const std::vector<const std::uint64_t *> &Aux,
-                size_t NPoints, size_t Len, size_t Batch,
-                std::string *Err = nullptr) const override;
   bool runStageGroup(const CompiledPlan &P, const StageGroup &G,
                      const std::uint64_t *Tw,
                      const std::vector<const std::uint64_t *> &Aux,
@@ -133,7 +125,7 @@ public:
 };
 
 /// Grid-shaped execution on the sim-GPU substrate: launches the plan's
-/// grid/stage entry points block-wise over a sim::Device pool, one block
+/// grid/fused entry points block-wise over a sim::Device pool, one block
 /// per call (threads serialized inside the JIT-compiled block loop, as on
 /// a time-sliced SM). Runs plans compiled for ExecBackend::SimGpu.
 class SimGpuBackend final : public ExecutionBackend {
@@ -148,11 +140,6 @@ public:
 
   bool runBatch(const CompiledPlan &P, const BatchArgs &Args, size_t N,
                 size_t Rows, std::string *Err = nullptr) const override;
-  bool runStage(const CompiledPlan &P, std::uint64_t *Data,
-                const std::uint64_t *StageTw,
-                const std::vector<const std::uint64_t *> &Aux,
-                size_t NPoints, size_t Len, size_t Batch,
-                std::string *Err = nullptr) const override;
   bool runStageGroup(const CompiledPlan &P, const StageGroup &G,
                      const std::uint64_t *Tw,
                      const std::vector<const std::uint64_t *> &Aux,
@@ -178,11 +165,6 @@ public:
   }
   bool runBatch(const CompiledPlan &P, const BatchArgs &Args, size_t N,
                 size_t Rows, std::string *Err = nullptr) const override;
-  bool runStage(const CompiledPlan &P, std::uint64_t *Data,
-                const std::uint64_t *StageTw,
-                const std::vector<const std::uint64_t *> &Aux,
-                size_t NPoints, size_t Len, size_t Batch,
-                std::string *Err = nullptr) const override;
   bool runStageGroup(const CompiledPlan &P, const StageGroup &G,
                      const std::uint64_t *Tw,
                      const std::vector<const std::uint64_t *> &Aux,
@@ -204,11 +186,6 @@ public:
   }
   bool runBatch(const CompiledPlan &P, const BatchArgs &Args, size_t N,
                 size_t Rows, std::string *Err = nullptr) const override;
-  bool runStage(const CompiledPlan &P, std::uint64_t *Data,
-                const std::uint64_t *StageTw,
-                const std::vector<const std::uint64_t *> &Aux,
-                size_t NPoints, size_t Len, size_t Batch,
-                std::string *Err = nullptr) const override;
   bool runStageGroup(const CompiledPlan &P, const StageGroup &G,
                      const std::uint64_t *Tw,
                      const std::vector<const std::uint64_t *> &Aux,

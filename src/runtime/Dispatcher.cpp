@@ -268,40 +268,6 @@ bool Dispatcher::axpy(const Bignum &Q, const std::uint64_t *AScalar,
       .runBatch(*BP->Plan, Args, N, /*Rows=*/1, &LastError);
 }
 
-bool Dispatcher::butterfly(const Bignum &Q, std::uint64_t *X,
-                           std::uint64_t *Y, const std::uint64_t *W,
-                           size_t N) {
-  clearError();
-  BoundPlan *BP = bind(KernelOp::Butterfly, Q, N);
-  if (!BP)
-    return false;
-  // The butterfly kernel reads its twiddle in the plan's reduction
-  // domain; this entry point takes plain values, so Montgomery plans get
-  // a converted scratch copy (the batched NTT path never pays this — its
-  // tables are precomputed in-domain).
-  const std::uint64_t *WPtr = W;
-  ScratchLease SL(*this);
-  if (BP->Plan->Key.Opts.Red == mw::Reduction::Montgomery) {
-    unsigned K = BP->Plan->ElemWords;
-    unsigned Lambda = BP->Plan->Key.ContainerBits;
-    if (SL->Tw.size() < N * K)
-      SL->Tw.resize(N * K);
-    for (size_t I = 0; I < N; ++I) {
-      Bignum Wi = unpackWordsMsbFirst(W + I * K, K);
-      auto WM = packWordsMsbFirst((Wi << Lambda) % Q, K);
-      std::copy(WM.begin(), WM.end(), SL->Tw.begin() + I * K);
-    }
-    WPtr = SL->Tw.data();
-  }
-  BatchArgs Args;
-  Args.Outs = {X, Y}; // in place: kernels load inputs before storing
-  Args.Ins = {X, Y, WPtr};
-  Args.Aux = BP->AuxPtrs;
-  ++DStats.Batches;
-  return Reg.backendFor(BP->Plan->Key)
-      .runBatch(*BP->Plan, Args, N, /*Rows=*/1, &LastError);
-}
-
 const NttTables *Dispatcher::tables(const Bignum &Q, size_t NPoints,
                                     mw::Reduction Domain,
                                     rewrite::NttRing Ring) {

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serving layer of the runtime: batched modular BLAS, butterfly, NTT
-/// and polynomial-product requests executed through cached compiled plans
+/// The serving layer of the runtime: batched modular BLAS, NTT and
+/// polynomial-product requests executed through cached compiled plans
 /// (KernelRegistry) with per-problem variants picked by the Autotuner.
 /// Many elements — or many polynomials — per call is the point: the JIT
 /// and tuning cost is paid once per (kernel, width) and amortized over
@@ -113,16 +113,6 @@ public:
             const std::uint64_t *X, std::uint64_t *Y, size_t N);
 
   // -- Batched NTT engine (paper §5.3) -----------------------------------
-
-  /// One butterfly per element triple, in place: (x, y) <- (x + w*y,
-  /// x - w*y) mod q. \p W holds plain-domain twiddles; when the bound
-  /// plan uses Montgomery reduction they are converted (w * 2^lambda mod
-  /// q, one host mulmod each) into a scratch copy per call — the NTT
-  /// entry points avoid that cost entirely through their precomputed
-  /// Montgomery-domain tables, so this convenience API stays
-  /// domain-agnostic for callers.
-  bool butterfly(const mw::Bignum &Q, std::uint64_t *X, std::uint64_t *Y,
-                 const std::uint64_t *W, size_t N);
 
   /// In-place forward/inverse NTT over \p Batch contiguous \p NPoints
   /// transforms (inverse includes the 1/n scaling). Each transform walks
@@ -385,7 +375,6 @@ private:
   struct Scratch {
     std::vector<std::uint64_t> Poly; ///< polyMul's B-transform copy
     std::vector<std::uint64_t> Ntt;  ///< stage-group ping-pong
-    std::vector<std::uint64_t> Tw;   ///< butterfly() domain conversion
     std::vector<std::uint64_t> RnsA, RnsB; ///< limb-major residues
     bool InUse = false;
   };

@@ -13,7 +13,7 @@
 #include "field/PrimeGen.h"
 #include "jit/HostJit.h"
 #include "kernels/ScalarKernels.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PassManager.h"
 
 #include <gtest/gtest.h>
 
@@ -29,7 +29,7 @@ TEST(CEmitter32, MulMod128OnThirtyTwoBitWords) {
   LowerOptions Opts;
   Opts.TargetWordBits = 32;
   LoweredKernel L = lowerToWords(K, Opts);
-  simplifyLowered(L);
+  defaultPipeline().runLowered(L);
   EXPECT_EQ(L.Rounds, 2u);
   ASSERT_EQ(L.Inputs[0].Words.size(), 4u) << "four 32-bit words per input";
 
@@ -90,7 +90,7 @@ TEST(CEmitter32, SixteenBitWordsEmit) {
   LowerOptions Opts;
   Opts.TargetWordBits = 16;
   LoweredKernel L = lowerToWords(kernels::buildAddModKernel(Spec), Opts);
-  simplifyLowered(L);
+  defaultPipeline().runLowered(L);
   CEmitOptions EOpts;
   EOpts.WordBits = 16;
   EmittedKernel EK = emitC(L, EOpts);

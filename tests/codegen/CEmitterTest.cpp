@@ -15,7 +15,7 @@
 #include "kernels/BlasKernels.h"
 #include "kernels/NttKernels.h"
 #include "kernels/ScalarKernels.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PassManager.h"
 
 #include <gtest/gtest.h>
 
@@ -130,7 +130,7 @@ void checkEmittedAgainstInterp(const LoweredKernel &L, jit::JitModule &M,
 void pipelineCheck(Kernel K, unsigned MBits, unsigned NumData, bool HasMu,
                    int Iters = 25) {
   LoweredKernel L = lowerToWords(K, {});
-  simplifyLowered(L);
+  defaultPipeline().runLowered(L);
   EmittedKernel EK = emitC(L);
   std::shared_ptr<jit::JitModule> M = hostJit().load(EK.Source);
   ASSERT_NE(M, nullptr) << hostJit().error() << "\n" << EK.Source;
@@ -154,7 +154,7 @@ void pipelineCheck(Kernel K, unsigned MBits, unsigned NumData, bool HasMu,
 TEST(CEmitter, StructureMatchesListings) {
   ScalarKernelSpec Spec{128, 0};
   LoweredKernel L = lowerToWords(kernels::buildAddModKernel(Spec), {});
-  simplifyLowered(L);
+  defaultPipeline().runLowered(L);
   EmittedKernel EK = emitC(L);
   // Shape of the paper's listings: u64 locals, extern C symbol, pointer
   // ports, no loops, no divisions.
@@ -172,7 +172,7 @@ TEST(CEmitter, StructureMatchesListings) {
 TEST(CEmitter, MulModUsesInt128LikeListingOne) {
   ScalarKernelSpec Spec{128, 0};
   LoweredKernel L = lowerToWords(kernels::buildMulModKernel(Spec), {});
-  simplifyLowered(L);
+  defaultPipeline().runLowered(L);
   EmittedKernel EK = emitC(L);
   EXPECT_NE(EK.Source.find("unsigned __int128"), std::string::npos)
       << "the compiler-supported double word (3.1)";
@@ -210,7 +210,7 @@ TEST(CEmitterIntegration, Axpy128) {
 TEST(CEmitterIntegration, MulMod380In512) {
   Kernel K = kernels::buildMulModKernel({512, 380});
   LoweredKernel L = lowerToWords(K, {});
-  simplifyLowered(L);
+  defaultPipeline().runLowered(L);
   EmittedKernel EK = emitC(L);
   EXPECT_NE(EK.Source.find("const uint64_t a[6]"), std::string::npos)
       << EK.Source.substr(0, 400);
@@ -222,7 +222,7 @@ TEST(CEmitterIntegration, KaratsubaMulMod256) {
   LowerOptions Opts;
   Opts.MulAlg = mw::MulAlgorithm::Karatsuba;
   LoweredKernel L = lowerToWords(K, Opts);
-  simplifyLowered(L);
+  defaultPipeline().runLowered(L);
   EmittedKernel EK = emitC(L);
   std::shared_ptr<jit::JitModule> M = hostJit().load(EK.Source);
   ASSERT_NE(M, nullptr) << hostJit().error();
@@ -242,7 +242,7 @@ TEST(CEmitterIntegration, KaratsubaMulMod256) {
 // from disk without reaching the compiler.
 TEST(CEmitterIntegration, IdenticalKernelReusesJitModule) {
   LoweredKernel L = lowerToWords(kernels::buildMulModKernel({128, 0}), {});
-  simplifyLowered(L);
+  defaultPipeline().runLowered(L);
   EmittedKernel EK = emitC(L);
 
   std::shared_ptr<jit::JitModule> M1 = hostJit().load(EK.Source);
@@ -285,7 +285,7 @@ void carryChainCheck(const ScalarKernelSpec &Spec,
                      Kernel (*Build)(const ScalarKernelSpec &),
                      unsigned NumData, CarryReference Ref) {
   LoweredKernel L = lowerToWords(Build(Spec), {});
-  simplifyLowered(L);
+  defaultPipeline().runLowered(L);
   EmittedKernel EK = emitC(L);
 
   // Shape: one macro call per Add/Sub; the double word only holds

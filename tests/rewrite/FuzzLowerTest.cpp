@@ -11,7 +11,7 @@
 #include "../TestUtil.h"
 
 #include "ir/Builder.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PassManager.h"
 
 #include <gtest/gtest.h>
 
@@ -144,7 +144,7 @@ TEST_P(FuzzLower, LoweredAndSimplifiedAgree) {
     Opts.MulAlg = (Round & 1) ? mw::MulAlgorithm::Karatsuba
                               : mw::MulAlgorithm::Schoolbook;
     LoweredKernel L = lowerToWords(K, Opts);
-    simplifyLowered(L);
+    defaultPipeline().runLowered(L);
     ASSERT_TRUE(verify(L.K).empty());
     EXPECT_LE(L.K.maxBits(), C.Target);
 

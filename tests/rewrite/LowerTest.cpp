@@ -11,7 +11,7 @@
 #include "field/PrimeGen.h"
 #include "kernels/BlasKernels.h"
 #include "kernels/ScalarKernels.h"
-#include "rewrite/Simplify.h"
+#include "rewrite/PassManager.h"
 #include "rewrite/Stats.h"
 
 #include <gtest/gtest.h>
@@ -87,7 +87,7 @@ TEST_P(LowerSweep, MulModEquivalence) {
   LoweredKernel L = lowerToWords(K, Opts);
   EXPECT_LE(L.K.maxBits(), C.TargetBits);
   if (C.Simplify)
-    simplifyLowered(L);
+    defaultPipeline().runLowered(L);
   FieldInputs Gen(Spec.modBits(), 2, 33);
   Rng R(1000 + C.ContainerBits + C.TargetBits);
   int Iters = C.ContainerBits >= 512 ? 25 : 80;
@@ -103,7 +103,7 @@ TEST_P(LowerSweep, ButterflyEquivalence) {
   Opts.MulAlg = C.Alg;
   LoweredKernel L = lowerToWords(K, Opts);
   if (C.Simplify)
-    simplifyLowered(L);
+    defaultPipeline().runLowered(L);
   FieldInputs Gen(Spec.modBits(), 3, 34);
   Rng R(2000 + C.ContainerBits + C.TargetBits);
   int Iters = C.ContainerBits >= 512 ? 20 : 60;

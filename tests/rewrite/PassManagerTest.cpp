@@ -17,7 +17,6 @@
 #include "rewrite/PassManager.h"
 #include "rewrite/Passes.h"
 #include "rewrite/PlanOptions.h"
-#include "rewrite/Simplify.h"
 #include "rewrite/Stats.h"
 
 #include <gtest/gtest.h>
@@ -170,21 +169,20 @@ TEST(PassManager, EachPassAlonePreservesSemantics) {
   }
 }
 
-// The "default" spec and the simplifyLowered wrapper must produce the
-// same kernel, statement for statement.
-TEST(PassManager, DefaultSpecMatchesSimplifyLowered) {
+// The empty spec and "default" name one PlanKey, so lowerWithPlan must
+// produce the same kernel for both, statement for statement.
+TEST(PassManager, EmptySpecMatchesDefaultSpec) {
   kernels::ScalarKernelSpec Spec;
   Spec.ContainerBits = 256;
   Spec.ModBits = 250;
   Kernel K = kernels::buildMulModKernel(Spec);
 
-  LoweredKernel A = lowerToWords(K);
-  LoweredKernel B = lowerToWords(K);
-  simplifyLowered(A);
-  PassPipeline P;
-  std::string Err;
-  ASSERT_TRUE(parsePipeline("default", P, &Err)) << Err;
-  P.runLowered(B);
+  PlanOptions Empty, Default;
+  Empty.Passes = "";
+  Default.Passes = "default";
+  ASSERT_TRUE(Empty == Default);
+  LoweredKernel A = lowerWithPlan(K, Empty);
+  LoweredKernel B = lowerWithPlan(K, Default);
   EXPECT_EQ(printKernel(A.K), printKernel(B.K));
   ASSERT_EQ(A.Inputs.size(), B.Inputs.size());
   for (size_t I = 0; I < A.Inputs.size(); ++I)

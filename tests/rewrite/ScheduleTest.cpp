@@ -5,8 +5,8 @@
 #include "ir/Builder.h"
 #include "field/PrimeGen.h"
 #include "kernels/ScalarKernels.h"
+#include "rewrite/PassManager.h"
 #include "rewrite/Schedule.h"
-#include "rewrite/Simplify.h"
 
 #include <gtest/gtest.h>
 
@@ -59,7 +59,7 @@ TEST(Schedule, SchedulerPreservesSemantics) {
     kernels::ScalarKernelSpec Spec{Container, 0};
     Kernel K = kernels::buildButterflyKernel(Spec);
     LoweredKernel L = lowerToWords(K, {});
-    simplifyLowered(L);
+    defaultPipeline().runLowered(L);
     Kernel Scheduled = L.K;
     scheduleForPressure(Scheduled);
     ASSERT_TRUE(verify(Scheduled).empty())
@@ -88,7 +88,7 @@ TEST(Schedule, NeverWorsensLoweredKernels) {
   for (unsigned Container : {128u, 256u, 512u}) {
     kernels::ScalarKernelSpec Spec{Container, 0};
     LoweredKernel L = lowerToWords(kernels::buildMulModKernel(Spec), {});
-    simplifyLowered(L);
+    defaultPipeline().runLowered(L);
     PressureStats Before = measurePressure(L.K);
     PressureStats After = scheduleForPressure(L.K);
     EXPECT_LE(After.MaxLiveWords, Before.MaxLiveWords) << Container;
@@ -140,7 +140,7 @@ TEST(Schedule, PressureGrowsLinearlyWithWidth) {
   for (unsigned Container : {128u, 256u, 512u, 1024u}) {
     kernels::ScalarKernelSpec Spec{Container, 0};
     LoweredKernel L = lowerToWords(kernels::buildButterflyKernel(Spec), {});
-    simplifyLowered(L);
+    defaultPipeline().runLowered(L);
     unsigned Peak = measurePressure(L.K).MaxLiveWords;
     if (Prev) {
       EXPECT_GE(Peak, 2 * Prev - 4) << Container;
@@ -154,9 +154,9 @@ TEST(Schedule, PressureGrowsLinearlyWithWidth) {
   LowerOptions Opts;
   Opts.TargetWordBits = 32;
   LoweredKernel L32 = lowerToWords(kernels::buildButterflyKernel(Spec), Opts);
-  simplifyLowered(L32);
+  defaultPipeline().runLowered(L32);
   LoweredKernel L64 = lowerToWords(kernels::buildButterflyKernel(Spec), {});
-  simplifyLowered(L64);
+  defaultPipeline().runLowered(L64);
   EXPECT_GT(measurePressure(L32.K, 32).MaxLiveWords,
             measurePressure(L64.K, 64).MaxLiveWords);
 }
@@ -164,7 +164,7 @@ TEST(Schedule, PressureGrowsLinearlyWithWidth) {
 TEST(Schedule, IdempotentOnScheduledKernel) {
   kernels::ScalarKernelSpec Spec{256, 0};
   LoweredKernel L = lowerToWords(kernels::buildMulModKernel(Spec), {});
-  simplifyLowered(L);
+  defaultPipeline().runLowered(L);
   PressureStats Once = scheduleForPressure(L.K);
   PressureStats Twice = scheduleForPressure(L.K);
   EXPECT_EQ(Twice.MaxLiveWords, Once.MaxLiveWords);

@@ -134,11 +134,34 @@ TEST(BackendGeometry, SerialBackendRefusesSimGpuPlans) {
   ASSERT_NE(PG, nullptr) << registry().error();
   BatchArgs Args;
   std::string Err;
-  EXPECT_FALSE(runBatch(*PG, Args, 0, &Err))
+  SerialBackend SB;
+  EXPECT_FALSE(SB.runBatch(*PG, Args, 0, 1, &Err))
       << "the serial path must not silently run a grid plan";
   EXPECT_NE(Err.find("simgpu"), std::string::npos) << Err;
-  SerialBackend SB;
-  EXPECT_FALSE(SB.runBatch(*PG, Args, 0, 1, &Err));
+}
+
+// A non-butterfly plan handed to runStageGroup is refused with the same
+// message on every backend, before any entry point or geometry check.
+TEST(BackendGeometry, StageGroupRefusesNonButterflyPlans) {
+  Bignum Q = testModulus(124);
+  rewrite::PlanOptions Vector, Interp;
+  Vector.Backend = ExecBackend::Vector;
+  Interp.Backend = ExecBackend::Interp;
+  for (const rewrite::PlanOptions &O :
+       {rewrite::PlanOptions(), simGpuBase(), Vector, Interp}) {
+    SCOPED_TRACE(rewrite::execBackendName(O.Backend));
+    auto P = registry().get(PlanKey::forModulus(KernelOp::MulMod, Q, O));
+    ASSERT_NE(P, nullptr) << registry().error();
+    const size_t N = 8;
+    std::vector<std::uint64_t> Data(N * P->ElemWords), Tw(N * P->ElemWords);
+    PlanAux Aux = makePlanAux(*P, Q);
+    StageGroup G;
+    G.Src = G.Dst = Data.data();
+    std::string Err;
+    EXPECT_FALSE(registry().backendFor(P->Key).runStageGroup(
+        *P, G, Tw.data(), Aux.ptrs(), N, 1, &Err));
+    EXPECT_EQ(Err, "runStageGroup: plan is not a butterfly kernel");
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -129,7 +129,7 @@ void fuzzVariant(KernelOp Op, const CompiledPlan &Plan,
       Args.Ins.push_back(I.data());
     Args.Aux = Aux.ptrs();
     std::string Err;
-    ASSERT_TRUE(runBatch(Plan, Args, 1, &Err)) << Err;
+    ASSERT_TRUE(SerialBackend().runBatch(Plan, Args, 1, 1, &Err)) << Err;
 
     // Sim-GPU grid-shaped JIT through its ExecutionBackend (batch of one
     // exercises the block guard: one block, one live thread).

@@ -13,12 +13,15 @@
 #include "ntt/Ntt.h"
 #include "ntt/ReferenceDft.h"
 #include "runtime/Autotuner.h"
+#include "runtime/Backend.h"
 #include "runtime/Dispatcher.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace moma;
 using namespace moma::runtime;
@@ -127,14 +130,36 @@ TEST(KernelRegistry, RejectsNon64BitWords) {
   EXPECT_NE(registry().error().find("64-bit"), std::string::npos);
 }
 
+// The serial and interp backends share one element walker, so both
+// report the same precise shape messages.
 TEST(KernelRegistry, RunBatchValidatesShapes) {
-  auto P =
-      registry().get(PlanKey::forModulus(KernelOp::MulMod, testModulus(124)));
-  ASSERT_NE(P, nullptr) << registry().error();
-  BatchArgs Bad; // no pointers at all
-  std::string Err;
-  EXPECT_FALSE(runBatch(*P, Bad, 1, &Err));
-  EXPECT_NE(Err.find("output arrays"), std::string::npos);
+  for (rewrite::ExecBackend B :
+       {rewrite::ExecBackend::Serial, rewrite::ExecBackend::Interp}) {
+    SCOPED_TRACE(rewrite::execBackendName(B));
+    rewrite::PlanOptions O;
+    O.Backend = B;
+    auto P = registry().get(
+        PlanKey::forModulus(KernelOp::MulMod, testModulus(124), O));
+    ASSERT_NE(P, nullptr) << registry().error();
+    ExecutionBackend &EB = registry().backendFor(P->Key);
+    BatchArgs Bad; // no pointers at all
+    std::string Err;
+    EXPECT_FALSE(EB.runBatch(*P, Bad, 1, 1, &Err));
+    EXPECT_NE(Err.find("output arrays"), std::string::npos);
+    EXPECT_EQ(Err, "runBatch: expected 1 output arrays, got 0");
+
+    std::vector<std::uint64_t> Buf(P->ElemWords);
+    Bad.Outs = {Buf.data()};
+    EXPECT_FALSE(EB.runBatch(*P, Bad, 1, 1, &Err));
+    EXPECT_EQ(Err, "runBatch: expected 2 input arrays, got 0");
+    Bad.Ins = {Buf.data(), Buf.data()};
+    Bad.InStrides = {0};
+    EXPECT_FALSE(EB.runBatch(*P, Bad, 1, 1, &Err));
+    EXPECT_EQ(Err, "runBatch: InStrides must be empty or match Ins");
+    Bad.InStrides.clear();
+    EXPECT_FALSE(EB.runBatch(*P, Bad, 1, 1, &Err));
+    EXPECT_EQ(Err, "runBatch: expected 2 broadcast aux arrays, got 0");
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -422,15 +447,37 @@ TEST(Autotuner, LoadRejectsGarbage) {
   namespace fs = std::filesystem;
   std::string Path =
       (fs::temp_directory_path() / "moma-tune-garbage.json").string();
+  Bignum Q = testModulus(60);
+  // A version-4 cache: a real save() with its version rewritten, so its
+  // entry names the very problem the tuner is asked for below.
+  std::string V4;
   {
-    std::FILE *F = std::fopen(Path.c_str(), "w");
-    ASSERT_NE(F, nullptr);
-    std::fputs("this is not json {", F);
-    std::fclose(F);
+    Autotuner T(registry(), quickTune());
+    ASSERT_NE(T.choose(KernelOp::MulMod, Q), nullptr) << T.error();
+    ASSERT_TRUE(T.save(Path));
+    std::ifstream In(Path);
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    V4 = SS.str();
+    const std::string V5 = "\"version\": 5";
+    size_t At = V4.find(V5);
+    ASSERT_NE(At, std::string::npos) << V4;
+    V4.replace(At, V5.size(), "\"version\": 4");
   }
-  Autotuner T(registry(), quickTune());
-  EXPECT_FALSE(T.load(Path));
-  EXPECT_NE(T.error().find("JSON"), std::string::npos);
+  const std::pair<std::string, std::string> Inputs[] = {
+      {"this is not json {", "JSON"}, {V4, "version 4"}};
+  for (const auto &[Text, Want] : Inputs) {
+    std::ofstream(Path) << Text;
+    Autotuner T(registry(), quickTune());
+    EXPECT_FALSE(T.load(Path));
+    EXPECT_NE(T.error().find(Want), std::string::npos) << T.error();
+    // Nothing was loaded: the tuner tunes the problem afresh.
+    EXPECT_EQ(T.numDecisions(), 0u);
+    const TuneDecision *D = T.choose(KernelOp::MulMod, Q);
+    ASSERT_NE(D, nullptr) << T.error();
+    EXPECT_FALSE(D->FromCache);
+    EXPECT_EQ(T.stats().Tuned, 1u);
+  }
   std::remove(Path.c_str());
 }
 

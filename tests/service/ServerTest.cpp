@@ -13,6 +13,7 @@
 #include "../TestUtil.h"
 
 #include "field/PrimeGen.h"
+#include "runtime/Backend.h"
 #include "runtime/Dispatcher.h"
 #include "service/Server.h"
 
@@ -460,7 +461,7 @@ TEST(KernelRegistry, LruEvictionKeepsHeldPlansCallable) {
   Args.Ins = {AW.data(), BW.data()};
   Args.Aux = Aux.ptrs();
   std::string Err;
-  ASSERT_TRUE(runBatch(*PA, Args, 1, &Err)) << Err;
+  ASSERT_TRUE(SerialBackend().runBatch(*PA, Args, 1, 1, &Err)) << Err;
   EXPECT_EQ(unpackWordsMsbFirst(CW.data(), K), Bignum(15));
 
   // Re-requesting the evicted key rebuilds (memory-only cache).
