@@ -10,13 +10,18 @@ using namespace moma::field;
 using mw::Bignum;
 
 unsigned moma::field::twoAdicity(const Bignum &Q) {
-  Bignum M = Q - Bignum(1);
-  unsigned S = 0;
-  while (!M.isZero() && !M.isOdd()) {
-    M = M >> 1;
-    ++S;
+  // Q - 1 differs from an odd Q only in bit 0, so its trailing zeros are
+  // those of Q with bit 0 cleared (an even Q makes Q - 1 odd). One pass
+  // over the limbs, no temporaries: the NTT entry points check this on
+  // every call.
+  if (!Q.isOdd())
+    return 0;
+  for (size_t I = 0; I < Q.numLimbs(); ++I) {
+    std::uint64_t W = Q.limb(I) & (I == 0 ? ~std::uint64_t(1) : ~0ull);
+    if (W)
+      return unsigned(I * 64 + __builtin_ctzll(W));
   }
-  return S;
+  return 0; // Q == 1: Q - 1 is zero
 }
 
 Bignum moma::field::rootOfUnityPow2(const Bignum &Q, unsigned S) {

@@ -236,11 +236,23 @@ bool hostRunStageGroup(const CompiledPlan &P, const StageGroup &G,
   // The host-side mirror of the emitted fused kernel (same geometry, same
   // butterfly order — bit-identical by construction): 2^depth elements
   // per virtual thread staged through a register block, gather on the
-  // loads, n^-1 on the stores via the zero-x butterfly. One allocation
-  // per dispatch, amortized over the whole batch.
+  // loads, n^-1 on the stores via the zero-x butterfly. The block, the
+  // butterfly's discarded output and its zero input live on the stack
+  // for elements up to InlineWords words (1024-bit moduli); only wider
+  // elements pay one heap allocation per dispatch.
+  constexpr size_t InlineWords = 16;
+  constexpr size_t MaxM = size_t(1) << rewrite::PlanOptions::MaxFuseDepth;
   size_t M = size_t(1) << G.Depth;
   size_t NT = NPoints >> G.Depth;
-  std::vector<std::uint64_t> Regs(M * K), Dump(K), Zero(K, 0);
+  std::uint64_t Inline[(MaxM + 2) * InlineWords];
+  std::vector<std::uint64_t> Wide;
+  std::uint64_t *Regs = Inline;
+  if (K > InlineWords) {
+    Wide.resize((M + 2) * K);
+    Regs = Wide.data();
+  }
+  std::uint64_t *Dump = Regs + M * K, *Zero = Dump + K;
+  std::fill(Zero, Zero + K, 0);
   void *Ports[8];
   for (size_t I = 0; I < Aux.size(); ++I)
     Ports[5 + I] = const_cast<std::uint64_t *>(Aux[I]);
@@ -255,15 +267,15 @@ bool hostRunStageGroup(const CompiledPlan &P, const StageGroup &G,
         size_t E = Base + J * G.Len0;
         size_t S = G.Gather ? size_t(G.Gather[E]) : E;
         const std::uint64_t *Src = SrcRow + S * K;
-        std::copy(Src, Src + K, Regs.begin() + J * K);
+        std::copy(Src, Src + K, Regs + J * K);
         if (G.Twist) {
           // Forward negacyclic fold: the value just loaded is
           // coefficient a_S, multiplied by ψ^S through the zero-x
           // butterfly (mirrors the emitted fused kernel).
-          Ports[0] = Regs.data() + J * K;
-          Ports[1] = Dump.data();
-          Ports[2] = Zero.data();
-          Ports[3] = Regs.data() + J * K;
+          Ports[0] = Regs + J * K;
+          Ports[1] = Dump;
+          Ports[2] = Zero;
+          Ports[3] = Regs + J * K;
           Ports[4] = const_cast<std::uint64_t *>(G.Twist + S * K);
           if (!Invoke(P, Ports))
             return fail(Err, "runStageGroup: unsupported butterfly arity");
@@ -274,8 +286,8 @@ bool hostRunStageGroup(const CompiledPlan &P, const StageGroup &G,
         size_t L = G.Len0 << D;
         for (size_t J0 = 0; J0 < M; J0 += 2 * H)
           for (size_t J = J0; J < J0 + H; ++J) {
-            std::uint64_t *X = Regs.data() + J * K;
-            std::uint64_t *Y = Regs.data() + (J + H) * K;
+            std::uint64_t *X = Regs + J * K;
+            std::uint64_t *Y = Regs + (J + H) * K;
             Ports[0] = X;
             Ports[1] = Y;
             Ports[2] = X;
@@ -291,10 +303,10 @@ bool hostRunStageGroup(const CompiledPlan &P, const StageGroup &G,
       }
       if (G.Scale)
         for (size_t J = 0; J < M; ++J) {
-          Ports[0] = Regs.data() + J * K;
-          Ports[1] = Dump.data();
-          Ports[2] = Zero.data();
-          Ports[3] = Regs.data() + J * K;
+          Ports[0] = Regs + J * K;
+          Ports[1] = Dump;
+          Ports[2] = Zero;
+          Ports[3] = Regs + J * K;
           // ScaleStride 0 broadcasts (cyclic n^-1); ElemWords indexes the
           // per-output untwist table at the natural-order element index.
           Ports[4] = const_cast<std::uint64_t *>(
@@ -303,7 +315,7 @@ bool hostRunStageGroup(const CompiledPlan &P, const StageGroup &G,
             return fail(Err, "runStageGroup: unsupported butterfly arity");
         }
       for (size_t J = 0; J < M; ++J)
-        std::copy(Regs.begin() + J * K, Regs.begin() + (J + 1) * K,
+        std::copy(Regs + J * K, Regs + (J + 1) * K,
                   DstRow + (Base + J * G.Len0) * K);
       if (++R == G.Len0) {
         R = 0;

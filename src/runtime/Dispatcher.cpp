@@ -59,6 +59,43 @@ void evictOver(Map &M, size_t Cap, std::uint64_t &Evictions,
   }
 }
 
+/// Folds \p V into the running hash \p H (the 64-bit golden-ratio
+/// combine). The hash only picks a bucket; candidates compare by value.
+std::size_t mixHash(std::size_t H, std::uint64_t V) {
+  return H ^ (V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2));
+}
+
+std::size_t mixModulus(std::size_t H, const Bignum &Q) {
+  for (size_t I = 0; I < Q.numLimbs(); ++I)
+    H = mixHash(H, Q.limb(I));
+  return H;
+}
+
+/// Hash of a binding-cache key: the modulus value and the canonical
+/// plan-key fields that commonly split entries. Every field mixed in
+/// takes part in PlanKey::operator==, so equal keys share a bucket; keys
+/// differing only in the rest share one and are told apart on compare.
+std::size_t bindingHash(const PlanKey &K, const Bignum &Q) {
+  std::size_t H = mixHash(0, unsigned(K.Op));
+  H = mixHash(H, K.WideWords);
+  H = mixHash(H, unsigned(K.Opts.Backend));
+  H = mixHash(H, unsigned(K.Opts.Red));
+  H = mixHash(H, K.Opts.FuseDepth);
+  H = mixHash(H, unsigned(K.Opts.Ring));
+  return mixModulus(H, Q);
+}
+
+/// The entry of bucket \p Hash in \p M that \p Matches accepts, or null.
+template <typename Map, typename Pred>
+typename Map::mapped_type *findEntry(Map &M, std::size_t Hash,
+                                     Pred Matches) {
+  auto Range = M.equal_range(Hash);
+  for (auto It = Range.first; It != Range.second; ++It)
+    if (Matches(It->second))
+      return &It->second;
+  return nullptr;
+}
+
 } // namespace
 
 const char *moma::runtime::dispatchErrorCodeName(DispatchErrorCode C) {
@@ -148,34 +185,35 @@ Dispatcher::BoundPlan *Dispatcher::bindPlan(KernelOp Op, const Bignum &Q,
                 DispatchErrorCode::InvalidArgument),
            nullptr;
   PlanKey Key = PlanKey::forRns(Op, Q, WideWords, Opts);
-  // The binding cache is keyed by the full canonical variant string, so
-  // differently-tuned variants of one problem (e.g. serial for small
-  // batches, sim-GPU for large) coexist without rebinding churn; folded
-  // knobs never split entries because str() is canonical.
-  std::string CacheKey = Key.str() + "#" + Q.toHex();
-  auto It = Bound.find(CacheKey);
-  if (It != Bound.end()) {
-    It->second.LastUse = ++UseTick;
-    if (It->second.Degraded) {
+  // The binding cache is keyed by the canonical variant plus the modulus
+  // value, compared field by field, so differently-tuned variants of one
+  // problem (e.g. serial for small batches, sim-GPU for large) coexist
+  // without rebinding churn, and folded knobs never split entries
+  // because forRns canonicalizes them. A hit formats nothing: the key
+  // string is built only by the registry, on a miss.
+  const std::size_t Hash = bindingHash(Key, Q);
+  if (BoundPlan *Hit = findEntry(Bound, Hash, [&](const BoundPlan &B) {
+        return B.JitKey == Key && B.Q == Q;
+      })) {
+    Hit->LastUse = ++UseTick;
+    if (Hit->Degraded) {
       // Every dispatch through a degraded binding polls the registry for
       // a promotion: tryPromote is non-blocking (a compiled plan if one
       // landed, else it enqueues a background probe), so the steady-state
       // cost of staying degraded is one cache lookup per dispatch and the
       // binding snaps back to JIT code the moment a probe succeeds.
-      if (std::shared_ptr<const CompiledPlan> P =
-              Reg.tryPromote(It->second.JitKey)) {
-        BoundPlan &BP = It->second;
-        BP.Plan = std::move(P);
-        BP.Aux = makePlanAux(*BP.Plan, Q);
-        BP.AuxPtrs = BP.Aux.ptrs();
-        BP.Degraded = false;
+      if (std::shared_ptr<const CompiledPlan> P = Reg.tryPromote(Key)) {
+        Hit->Plan = std::move(P);
+        Hit->Aux = makePlanAux(*Hit->Plan, Q);
+        Hit->AuxPtrs = Hit->Aux.ptrs();
+        Hit->Degraded = false;
         DC.Promotions.fetch_add(1, std::memory_order_relaxed);
       } else {
         DC.FallbackDispatches.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    LastOpts = It->second.Plan->Key.Opts;
-    return &It->second;
+    LastOpts = Hit->Plan->Key.Opts;
+    return Hit;
   }
   std::shared_ptr<const CompiledPlan> Plan = Reg.get(Key);
   bool Degraded = false;
@@ -211,13 +249,14 @@ Dispatcher::BoundPlan *Dispatcher::bindPlan(KernelOp Op, const Bignum &Q,
   BP.LastUse = ++UseTick;
   BP.Degraded = Degraded;
   BP.JitKey = Key;
+  BP.Q = Q;
   LastOpts = BP.Plan->Key.Opts;
-  auto Ins = Bound.insert_or_assign(CacheKey, std::move(BP));
+  auto Ins = Bound.emplace(Hash, std::move(BP));
   // The freshest stamp is the entry just inserted, so LRU eviction never
   // invalidates the pointer handed back here.
   evictOver(Bound, MaxBound, Evictions.BoundEvictions,
             [](const BoundPlan &B) { return B.LastUse; });
-  return &Ins.first->second;
+  return &Ins->second;
 }
 
 bool Dispatcher::runElementwise(KernelOp Op, const Bignum &Q,
@@ -271,24 +310,28 @@ bool Dispatcher::axpy(const Bignum &Q, const std::uint64_t *AScalar,
 const NttTables *Dispatcher::tables(const Bignum &Q, size_t NPoints,
                                     mw::Reduction Domain,
                                     rewrite::NttRing Ring) {
-  std::string Key = Q.toHex() + ":" + std::to_string(NPoints) + ":" +
-                    mw::reductionName(Domain) + ":" +
-                    rewrite::nttRingName(Ring);
-  auto It = NttCtx.find(Key);
-  if (It != NttCtx.end()) {
-    It->second.LastUse = ++UseTick;
-    return &It->second.T;
+  const std::size_t Hash = mixModulus(
+      mixHash(mixHash(mixHash(0, NPoints), unsigned(Domain)), unsigned(Ring)),
+      Q);
+  if (TablesEntry *Hit = findEntry(NttCtx, Hash, [&](const TablesEntry &E) {
+        return E.NPoints == NPoints && E.T.Domain == Domain &&
+               E.T.Ring == Ring && E.Q == Q;
+      })) {
+    Hit->LastUse = ++UseTick;
+    return &Hit->T;
   }
   TablesEntry E;
   std::string Err;
   if (!buildNttTables(Q, NPoints, Domain, E.T, &Err, Ring))
     return fail("Dispatcher: " + Err, DispatchErrorCode::InvalidArgument),
            nullptr;
+  E.Q = Q;
+  E.NPoints = NPoints;
   E.LastUse = ++UseTick;
-  auto Ins = NttCtx.emplace(std::move(Key), std::move(E));
+  auto Ins = NttCtx.emplace(Hash, std::move(E));
   evictOver(NttCtx, MaxTables, Evictions.TableEvictions,
             [](const TablesEntry &T) { return T.LastUse; });
-  return &Ins.first->second.T;
+  return &Ins->second.T;
 }
 
 bool Dispatcher::transform(const Bignum &Q, std::uint64_t *Data,
@@ -384,12 +427,13 @@ bool Dispatcher::polyMul(const Bignum &Q, const std::uint64_t *A,
   unsigned K = elemWords(Q);
   size_t Total = NPoints * Batch * K;
   // A's transform runs directly in the output buffer (dead until the
-  // point-wise product); only B needs a scratch copy — into a leased
-  // pool buffer, so steady-state batched polyMul does zero heap
-  // allocation and the nested NTT/vmul calls (which lease their own
-  // entries) can never alias it. The ring rides the transforms' edge
-  // folds, so a negacyclic product issues exactly the cyclic dispatch
-  // sequence.
+  // point-wise product); only B needs a scratch copy — into a leased,
+  // grow-only pool buffer, so steady-state batched polyMul never grows
+  // its data scratch, and the nested NTT/vmul calls (which lease their
+  // own entries) can never alias it. Small per-call bookkeeping (the
+  // BatchArgs port vectors, the stage-group schedule) still allocates.
+  // The ring rides the transforms' edge folds, so a negacyclic product
+  // issues exactly the cyclic dispatch sequence.
   if (C != A)
     std::copy(A, A + Total, C);
   ScratchLease SL(*this);

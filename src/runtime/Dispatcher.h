@@ -44,9 +44,9 @@
 #include "runtime/RnsTensor.h"
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 namespace moma {
@@ -85,8 +85,8 @@ const char *dispatchErrorCodeName(DispatchErrorCode C);
 /// nested entry points (rnsPolyMul driving polyMul driving the NTTs) and
 /// even erroneous cross-thread use can never silently alias each other's
 /// scratch and corrupt results — the historical failure mode of the old
-/// member buffers. Steady state still allocates nothing: leases reuse
-/// pooled grow-only buffers.
+/// member buffers. Steady state never grows scratch: leases reuse pooled
+/// grow-only buffers.
 class Dispatcher {
 public:
   /// \p Tuner may be null: every request then uses \p Base verbatim
@@ -314,6 +314,7 @@ private:
   /// A compiled plan bound to one modulus value: broadcast tail packed.
   /// A degraded binding runs the interpreter fallback but remembers the
   /// key it really wanted (JitKey) so cache hits can promote back.
+  /// (JitKey, Q) is the entry's cache key.
   struct BoundPlan {
     std::shared_ptr<const CompiledPlan> Plan;
     PlanAux Aux;
@@ -321,9 +322,13 @@ private:
     std::uint64_t LastUse = 0; ///< LRU stamp
     bool Degraded = false;     ///< serving the interp fallback
     PlanKey JitKey;            ///< the originally requested variant
+    mw::Bignum Q;              ///< the bound modulus
   };
-  /// One cached NttTables with its LRU stamp.
+  /// One cached NttTables with its LRU stamp; (Q, NPoints, T.Domain,
+  /// T.Ring) is the entry's cache key.
   struct TablesEntry {
+    mw::Bignum Q;
+    size_t NPoints = 0;
     NttTables T;
     std::uint64_t LastUse = 0;
   };
@@ -368,8 +373,8 @@ private:
   }
 
   /// One pool entry of reusable scratch buffers (grow-only, so
-  /// steady-state batched polyMul and NTT dispatch perform zero heap
-  /// allocation). Entries are leased per entry-point call and returned on
+  /// steady-state batched polyMul and NTT dispatch never resize their
+  /// data scratch). Entries are leased per entry-point call and returned on
   /// exit; the pool grows to the deepest nesting ever seen (rnsPolyMul →
   /// polyMul → transform is depth 3) and then stays put.
   struct Scratch {
@@ -401,8 +406,11 @@ private:
   std::string LastError;
   DispatchErrorCode LastCode = DispatchErrorCode::Ok;
   rewrite::PlanOptions LastOpts;
-  std::map<std::string, BoundPlan> Bound; ///< by full plan key + modulus
-  std::map<std::string, TablesEntry> NttCtx; ///< by modulus + size + domain
+  /// Both caches bucket their entries by a hash of the key's values and
+  /// compare candidates by value, so a warm lookup builds no string and
+  /// copies no modulus.
+  std::unordered_multimap<std::size_t, BoundPlan> Bound;
+  std::unordered_multimap<std::size_t, TablesEntry> NttCtx;
   size_t MaxBound = 128, MaxTables = 64;
   std::uint64_t UseTick = 0; ///< LRU clock shared by both caches
   DispatchStats DStats;

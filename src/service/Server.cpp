@@ -11,14 +11,6 @@
 using namespace moma;
 using namespace moma::service;
 
-namespace {
-
-char ringTag(rewrite::NttRing Ring) {
-  return Ring == rewrite::NttRing::Negacyclic ? 'n' : 'c';
-}
-
-} // namespace
-
 const char *moma::service::errorCodeName(ErrorCode C) {
   switch (C) {
   case ErrorCode::Ok:
@@ -76,6 +68,26 @@ Server::~Server() {
 // Submission
 //===----------------------------------------------------------------------===//
 
+bool Server::sameBatch(const Request &A, const Request &B) {
+  // RNS and ciphertext requests key on the context's identity (their Q
+  // stays empty): requests through one context share limb bases and
+  // tables by construction.
+  if (A.Kind != B.Kind || A.Ctx != B.Ctx || A.Ring != B.Ring)
+    return false;
+  const bool Pointwise = A.Kind == ReqKind::VAdd ||
+                         A.Kind == ReqKind::VSub || A.Kind == ReqKind::VMul;
+  return (Pointwise || A.N == B.N) && A.Q == B.Q;
+}
+
+void Server::reject(Request &R, ErrorCode Code, const char *Why) {
+  Reply Rej;
+  Rej.Code = Code;
+  Rej.Error = Why;
+  Rej.Arrival = R.Arrival;
+  Rej.Done = std::chrono::steady_clock::now();
+  R.Promise.set_value(std::move(Rej));
+}
+
 std::future<Reply> Server::submit(Request R) {
   R.Arrival = std::chrono::steady_clock::now();
   std::uint64_t Budget =
@@ -85,26 +97,28 @@ std::future<Reply> Server::submit(Request R) {
     R.Deadline = R.Arrival + std::chrono::microseconds(Budget);
   }
   std::future<Reply> F = R.Promise.get_future();
-  ErrorCode Code;
+  ErrorCode Code = ErrorCode::Ok;
   {
     std::lock_guard<std::mutex> G(QMu);
     if (!Stop && Queue.size() < Opts.QueueCap) {
       ++S.Requests;
       ++Pending;
       Queue.push_back(std::move(R));
-      QCv.notify_one();
-      return F;
+    } else {
+      Code = Stop ? ErrorCode::ShuttingDown : ErrorCode::QueueFull;
+      ++S.Rejected;
     }
-    Code = Stop ? ErrorCode::ShuttingDown : ErrorCode::QueueFull;
-    ++S.Rejected;
   }
-  Reply Rej;
-  Rej.Code = Code;
-  Rej.Error = Code == ErrorCode::ShuttingDown
-                  ? "server: submission rejected (shutting down)"
-                  : "server: submission rejected (queue full)";
-  Rej.Done = std::chrono::steady_clock::now();
-  R.Promise.set_value(std::move(Rej));
+  if (Code == ErrorCode::Ok) {
+    // Notified after the unlock, so the woken worker does not block
+    // straight away on QMu.
+    QCv.notify_one();
+    return F;
+  }
+  reject(R, Code,
+         Code == ErrorCode::ShuttingDown
+             ? "server: submission rejected (shutting down)"
+             : "server: submission rejected (queue full)");
   return F;
 }
 
@@ -118,7 +132,6 @@ std::future<Reply> Server::vadd(const mw::Bignum &Q, const std::uint64_t *A,
   R.B = B;
   R.C = C;
   R.N = N;
-  R.Key = "va/" + Q.toHex();
   R.DeadlineUs = DeadlineUs;
   return submit(std::move(R));
 }
@@ -133,7 +146,6 @@ std::future<Reply> Server::vsub(const mw::Bignum &Q, const std::uint64_t *A,
   R.B = B;
   R.C = C;
   R.N = N;
-  R.Key = "vs/" + Q.toHex();
   R.DeadlineUs = DeadlineUs;
   return submit(std::move(R));
 }
@@ -148,7 +160,6 @@ std::future<Reply> Server::vmul(const mw::Bignum &Q, const std::uint64_t *A,
   R.B = B;
   R.C = C;
   R.N = N;
-  R.Key = "vm/" + Q.toHex();
   R.DeadlineUs = DeadlineUs;
   return submit(std::move(R));
 }
@@ -166,8 +177,6 @@ std::future<Reply> Server::polyMul(const mw::Bignum &Q,
   R.B = B;
   R.C = C;
   R.N = NPoints;
-  R.Key = "pm/" + Q.toHex() + "/" + std::to_string(NPoints) + "/" +
-          ringTag(Ring);
   R.DeadlineUs = DeadlineUs;
   return submit(std::move(R));
 }
@@ -182,8 +191,6 @@ std::future<Reply> Server::nttForward(const mw::Bignum &Q,
   R.Ring = Ring;
   R.C = Data;
   R.N = NPoints;
-  R.Key = "nf/" + Q.toHex() + "/" + std::to_string(NPoints) + "/" +
-          ringTag(Ring);
   R.DeadlineUs = DeadlineUs;
   return submit(std::move(R));
 }
@@ -198,8 +205,6 @@ std::future<Reply> Server::nttInverse(const mw::Bignum &Q,
   R.Ring = Ring;
   R.C = Data;
   R.N = NPoints;
-  R.Key = "ni/" + Q.toHex() + "/" + std::to_string(NPoints) + "/" +
-          ringTag(Ring);
   R.DeadlineUs = DeadlineUs;
   return submit(std::move(R));
 }
@@ -218,11 +223,6 @@ std::future<Reply> Server::rnsPolyMul(const runtime::RnsContext &Ctx,
   R.B = B;
   R.C = C;
   R.N = NPoints;
-  // Context identity (not value) keys the batch: requests through the
-  // same RnsContext share limb bases and tables by construction.
-  R.Key = "rp/" +
-          std::to_string(reinterpret_cast<std::uintptr_t>(&Ctx)) + "/" +
-          std::to_string(NPoints) + "/" + ringTag(Ring);
   R.DeadlineUs = DeadlineUs;
   return submit(std::move(R));
 }
@@ -236,17 +236,14 @@ std::future<Reply> Server::submitCtMul(fhe::Ciphertext &A,
   // no queue slot, no worker wakeup.
   if (!A.valid() || !B.valid() || A.size() != 2 || B.size() != 2 ||
       &A.context() != &B.context()) {
+    R.Arrival = std::chrono::steady_clock::now();
     std::future<Reply> F = R.Promise.get_future();
     {
       std::lock_guard<std::mutex> G(QMu);
       ++S.Rejected;
     }
-    Reply Rej;
-    Rej.Code = ErrorCode::InvalidRequest;
-    Rej.Error = "server: ctMul needs two degree-1 ciphertexts over one "
-                "chain";
-    Rej.Done = std::chrono::steady_clock::now();
-    R.Promise.set_value(std::move(Rej));
+    reject(R, ErrorCode::InvalidRequest,
+           "server: ctMul needs two degree-1 ciphertexts over one chain");
     return F;
   }
   R.Kind = ReqKind::CtMul;
@@ -256,9 +253,6 @@ std::future<Reply> Server::submitCtMul(fhe::Ciphertext &A,
   R.CtB = &B;
   R.CtOut = &Out;
   R.N = A.Polys[0].nPoints();
-  R.Key = "cm/" +
-          std::to_string(reinterpret_cast<std::uintptr_t>(R.Ctx)) + "/" +
-          std::to_string(R.N) + "/" + ringTag(R.Ring);
   R.DeadlineUs = DeadlineUs;
   return submit(std::move(R));
 }
@@ -312,13 +306,9 @@ void Server::sweepExpiredLocked(std::vector<Request> &Expired) {
 void Server::replyExpired(std::vector<Request> &Expired) {
   if (Expired.empty())
     return;
-  for (Request &R : Expired) {
-    Reply Rep;
-    Rep.Code = ErrorCode::DeadlineExceeded;
-    Rep.Error = "server: deadline exceeded while queued";
-    Rep.Done = std::chrono::steady_clock::now();
-    R.Promise.set_value(std::move(Rep));
-  }
+  for (Request &R : Expired)
+    reject(R, ErrorCode::DeadlineExceeded,
+           "server: deadline exceeded while queued");
   {
     // Pending drops only after the promises are fulfilled, preserving
     // the drain() invariant: Pending == 0 => every future is ready.
@@ -335,18 +325,17 @@ void Server::replyExpired(std::vector<Request> &Expired) {
 
 void Server::workerLoop(Worker &W) {
   std::unique_lock<std::mutex> L(QMu);
-  // Moves every queued request matching Key (up to MaxBatch total) into
-  // Batch, preserving arrival order — except requests whose deadline has
-  // already passed, which divert to Expired: a request is either rejected
-  // while still queued or served as part of a batch, never torn from one
-  // mid-flight. Called under QMu.
-  auto TakeMatching = [&](const std::string &Key,
-                          std::vector<Request> &Batch,
+  // Moves every queued request that sameBatch()es Batch's head (up to
+  // MaxBatch in total) into Batch, preserving arrival order — except
+  // requests whose deadline has already passed, which divert to Expired:
+  // a request is either rejected while still queued or served as part of
+  // a batch, never torn from one mid-flight. Called under QMu.
+  auto TakeMatching = [&](std::vector<Request> &Batch,
                           std::vector<Request> &Expired) {
     const auto Now = std::chrono::steady_clock::now();
     for (auto It = Queue.begin();
          It != Queue.end() && Batch.size() < Opts.MaxBatch;) {
-      if (It->Key == Key) {
+      if (sameBatch(*It, Batch.front())) {
         if (It->HasDeadline && Now >= It->Deadline) {
           ++S.DeadlineExpired;
           Expired.push_back(std::move(*It));
@@ -380,27 +369,33 @@ void Server::workerLoop(Worker &W) {
       continue;
     }
 
-    // Adopt the oldest request's key and hold its batch open until the
-    // latency budget measured from ITS arrival expires — the head of the
-    // queue never waits longer than one coalesce window.
-    const std::string Key = Queue.front().Key;
-    const auto Deadline =
-        Queue.front().Arrival +
-        std::chrono::microseconds(Opts.CoalesceWindowUs);
+    // Adopt the oldest request's key and take every matching request
+    // already queued — the backlog that built while workers were busy.
+    // By default the batch dispatches at once: no request waits on a
+    // timer while this worker could be computing. An explicit window
+    // holds the batch open for same-key arrivals until the budget
+    // measured from the head's arrival expires, so the head never waits
+    // longer than one window.
     std::vector<Request> Batch;
-    TakeMatching(Key, Batch, Expired);
-    while (!Stop && Batch.size() < Opts.MaxBatch) {
-      if (QCv.wait_until(L, Deadline) == std::cv_status::timeout) {
-        TakeMatching(Key, Batch, Expired); // final sweep at the deadline
-        break;
+    Batch.push_back(std::move(Queue.front()));
+    Queue.pop_front();
+    TakeMatching(Batch, Expired);
+    if (Opts.CoalesceWindowUs) {
+      const auto Deadline =
+          Batch.front().Arrival +
+          std::chrono::microseconds(Opts.CoalesceWindowUs);
+      while (!Stop && Batch.size() < Opts.MaxBatch) {
+        if (QCv.wait_until(L, Deadline) == std::cv_status::timeout) {
+          TakeMatching(Batch, Expired); // final sweep at the deadline
+          break;
+        }
+        TakeMatching(Batch, Expired); // same-key arrival in the window
       }
-      TakeMatching(Key, Batch, Expired); // same-key arrival in the window
     }
 
     L.unlock();
     replyExpired(Expired);
-    if (!Batch.empty())
-      execute(W, Batch);
+    execute(W, Batch);
     L.lock();
   }
 }
@@ -417,8 +412,11 @@ void Server::execute(Worker &W, std::vector<Request> &Batch) {
     R.Error = Error.empty() ? "server: dispatch failed" : Error;
   }
   R.Done = std::chrono::steady_clock::now();
-  for (auto &Req : Batch)
-    Req.Promise.set_value(R);
+  for (auto &Req : Batch) {
+    Reply Rep = R;
+    Rep.Arrival = Req.Arrival;
+    Req.Promise.set_value(std::move(Rep));
+  }
 
   {
     std::lock_guard<std::mutex> G(QMu);

@@ -9,8 +9,9 @@
 /// The front door of the runtime for many independent clients: a
 /// thread-safe submission queue accepting polyMul/NTT/RNS/BLAS requests
 /// with futures back to the callers, a coalescer that packs same-(op,
-/// modulus, shape, ring) requests into one batched dispatch within a
-/// configurable latency budget, and worker threads draining the queue.
+/// modulus, shape, ring) requests already queued into one batched
+/// dispatch (optionally holding a batch open for a latency budget), and
+/// worker threads draining the queue.
 ///
 /// Why it exists: the Dispatcher only hits the paper's batched-dispatch
 /// sweet spot when callers arrive with large batches, but the north-star
@@ -64,10 +65,12 @@ struct ServerOptions {
   /// Most requests packed into one coalesced dispatch.
   size_t MaxBatch = 256;
   /// How long a worker holds the oldest request open for same-key
-  /// arrivals before dispatching — the latency budget traded for batch
-  /// size. 0 dispatches immediately (no coalescing beyond what is
-  /// already queued).
-  unsigned CoalesceWindowUs = 200;
+  /// arrivals before dispatching — an opt-in latency budget traded for
+  /// batch size. The default 0 is work-conserving: an idle worker
+  /// dispatches at once with every same-key request already queued, so
+  /// batches still form from the backlog that builds while workers are
+  /// busy, and no request waits on a timer while a worker idles.
+  unsigned CoalesceWindowUs = 0;
   /// Requests admitted before submissions are rejected ("queue full"
   /// replies) — the overload backstop.
   size_t QueueCap = 1 << 16;
@@ -102,13 +105,16 @@ enum class ErrorCode {
 /// Stable lower-case name for \p C ("ok", "queue-full", ...).
 const char *errorCodeName(ErrorCode C);
 
-/// What a request's future resolves to. Latency accounting: Done is
-/// stamped just before the promise is fulfilled, so (Done - submit time)
-/// is the request's queue + coalesce + execute latency.
+/// What a request's future resolves to. Latency accounting: Arrival is
+/// stamped when the server accepts (or refuses) the submission and Done
+/// just before the promise is fulfilled, so (Done - Arrival) is the
+/// request's queue + coalesce + execute latency. Every reply carries
+/// both, rejections included.
 struct Reply {
   bool Ok = false;
   ErrorCode Code = ErrorCode::Ok; ///< typed failure class
   std::string Error; ///< dispatcher diagnostics on failure
+  std::chrono::steady_clock::time_point Arrival;
   std::chrono::steady_clock::time_point Done;
 };
 
@@ -237,8 +243,8 @@ private:
     CtMul
   };
 
-  /// One queued request. Coalescing key: requests with equal Key strings
-  /// are safe to serve in one batched dispatch.
+  /// One queued request. Coalescing key: requests for which sameBatch()
+  /// holds are safe to serve in one batched dispatch.
   struct Request {
     ReqKind Kind;
     mw::Bignum Q;
@@ -250,7 +256,6 @@ private:
     fhe::Ciphertext *CtA = nullptr, *CtB = nullptr; ///< CtMul operands
     fhe::Ciphertext *CtOut = nullptr;               ///< CtMul result
     size_t N = 0;               ///< elements (BLAS) or points (NTT/poly)
-    std::string Key;
     std::uint64_t DeadlineUs = 0; ///< caller's budget (0 = server default)
     bool HasDeadline = false;
     std::chrono::steady_clock::time_point Arrival;
@@ -266,7 +271,13 @@ private:
     std::thread T;
   };
 
+  /// The coalescing key compared by value: same kind, modulus (or RNS
+  /// context identity), ring and — except for the pointwise BLAS ops,
+  /// which concatenate requests of any length — the same size.
+  static bool sameBatch(const Request &A, const Request &B);
   std::future<Reply> submit(Request R);
+  /// Resolves \p R's future with a refusal of class \p Code.
+  static void reject(Request &R, ErrorCode Code, const char *Why);
   void workerLoop(Worker &W);
   /// Moves every queued request whose deadline has passed (any key) into
   /// \p Expired and bumps Stats::DeadlineExpired for the new entries.
@@ -277,7 +288,7 @@ private:
   /// then decrements Pending and notifies DrainCv. Called WITHOUT QMu
   /// held.
   void replyExpired(std::vector<Request> &Expired);
-  /// Serves one coalesced batch (all sharing Batch[0].Key) on \p W.
+  /// Serves one coalesced batch (all sameBatch as Batch[0]) on \p W.
   void execute(Worker &W, std::vector<Request> &Batch);
   /// Runs the actual dispatcher call(s) for \p Batch staged as one
   /// batched dispatch; returns false with \p Error and \p Code set —

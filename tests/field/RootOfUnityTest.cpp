@@ -15,6 +15,18 @@ TEST(RootOfUnity, TwoAdicityOfKnownValues) {
   EXPECT_EQ(twoAdicity(Bignum(17)), 4u);  // 16 = 2^4
   EXPECT_EQ(twoAdicity(Bignum(97)), 5u);  // 96 = 2^5 * 3
   EXPECT_EQ(twoAdicity(Bignum(65537)), 16u);
+  // Edges: even moduli (Q - 1 odd), Q = 1 (Q - 1 zero), and multi-limb
+  // values whose trailing zeros cross limb boundaries.
+  EXPECT_EQ(twoAdicity(Bignum(1)), 0u);
+  EXPECT_EQ(twoAdicity(Bignum(2)), 0u);
+  EXPECT_EQ(twoAdicity(Bignum(10)), 0u);
+  EXPECT_EQ(twoAdicity(Bignum::powerOfTwo(64) + Bignum(1)), 64u);
+  EXPECT_EQ(twoAdicity(Bignum::powerOfTwo(100) * Bignum(3) + Bignum(1)),
+            100u);
+  EXPECT_EQ(twoAdicity(Bignum::powerOfTwo(200) + Bignum(1)), 200u);
+  EXPECT_EQ(twoAdicity(Bignum::powerOfTwo(130) * Bignum(5) +
+                       Bignum::powerOfTwo(70) + Bignum(1)),
+            70u);
 }
 
 TEST(RootOfUnity, ExactOrderSmallPrime) {

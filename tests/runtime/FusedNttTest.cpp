@@ -30,11 +30,13 @@
 #include "ntt/ReferenceDft.h"
 #include "runtime/Dispatcher.h"
 #include "runtime/NttPipeline.h"
+#include "runtime/RnsContext.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <unistd.h>
 
 using namespace moma;
 using namespace moma::runtime;
@@ -405,6 +407,140 @@ TEST(FusedNtt, CachesEvictLeastRecentlyUsed) {
   ASSERT_TRUE(D.nttForward(Q, Data.data(), 16, 4)) << D.error();
   ASSERT_TRUE(D.nttInverse(Q, Data.data(), 16, 4)) << D.error();
   EXPECT_EQ(Data, Packed);
+
+  // One entry per cache while two same-width moduli (one compiled plan,
+  // two bindings) alternate: every call rebinds and rebuilds its tables,
+  // and every product stays exact.
+  D.setCacheCaps(1, 1);
+  const Bignum Q2 = field::nttPrime(60, 12);
+  ASSERT_NE(Q, Q2);
+  const unsigned K2 = Dispatcher::elemWords(Q2);
+  auto Polys2 = randomElems(R, Q2, 16);
+  Dispatcher::CacheCounters Before = D.cacheCounters();
+  const Bignum *Moduli[] = {&Q, &Q2};
+  for (int Round = 0; Round < 3; ++Round)
+    for (const Bignum *QP : Moduli) {
+      const auto &In = QP == &Q ? Polys : Polys2;
+      const unsigned KQ = QP == &Q ? K : K2;
+      std::vector<Bignum> PA(In.begin(), In.begin() + 8),
+          PB(In.begin() + 8, In.begin() + 16), PC;
+      ASSERT_TRUE(D.polyMul(*QP, PA, PB, PC, 8)) << D.error();
+      for (size_t I = 0; I < 8; ++I) {
+        Bignum Want(0);
+        for (size_t J = 0; J < 8; ++J)
+          Want = (Want + PA[J] * PB[(I + 8 - J) % 8]) % *QP;
+        ASSERT_EQ(PC[I], Want) << "round " << Round << " coefficient " << I;
+      }
+      std::vector<std::uint64_t> X = packBatch(PA, KQ),
+                                 Y = packBatch(PB, KQ), Z(X.size());
+      ASSERT_TRUE(D.vmul(*QP, X.data(), Y.data(), Z.data(), 8))
+          << D.error();
+      std::vector<Bignum> Prod = unpackBatch(Z, KQ);
+      for (size_t I = 0; I < 8; ++I)
+        ASSERT_EQ(Prod[I], PA[I] * PB[I] % *QP);
+    }
+  C = D.cacheCounters();
+  EXPECT_EQ(C.BoundEntries, 1u);
+  EXPECT_EQ(C.TableEntries, 1u);
+  EXPECT_GE(C.BoundEvictions, Before.BoundEvictions + 6);
+  EXPECT_GE(C.TableEvictions, Before.TableEvictions + 6);
+}
+
+TEST(FusedNtt, BindingCacheComparesCanonicalKeysByValue) {
+  const Bignum Q = field::nttPrime(60, 10);
+  const unsigned K = Dispatcher::elemWords(Q);
+  std::vector<std::uint64_t> A(128 * K, 3), B(128 * K, 5), C(128 * K);
+
+  // Raw tuned variants that differ only in knobs the canonical key folds
+  // (a block dim and a lane count on a serial plan, the reduction on
+  // addmod) share one binding. Persisted decisions pin them per size
+  // bucket, so nothing is timed.
+  std::string Path = ::testing::TempDir() + "/fusedntt_folded_" +
+                     std::to_string(::getpid()) + ".json";
+  {
+    std::string Add = PlanKey::forModulus(KernelOp::AddMod, Q).problemStr();
+    std::string Mul = PlanKey::forModulus(KernelOp::MulMod, Q).problemStr();
+    auto Entry = [](const std::string &Problem, const char *Red,
+                    unsigned BlockDim, unsigned Lanes) {
+      return "{\"problem\": \"" + Problem + "\", \"reduction\": \"" +
+             Red + "\", \"backend\": \"serial\", \"block_dim\": " +
+             std::to_string(BlockDim) +
+             ", \"vector_width\": " + std::to_string(Lanes) + "}";
+    };
+    std::FILE *F = std::fopen(Path.c_str(), "w");
+    ASSERT_NE(F, nullptr);
+    std::string Json =
+        "{\"version\": 5, \"entries\": [" +
+        Entry(Add + "/n64/schoolbook", "barrett", 0, 0) + ", " +
+        Entry(Add + "/n128/schoolbook", "montgomery", 512, 16) + ", " +
+        Entry(Mul + "/n64/schoolbook", "barrett", 0, 0) + ", " +
+        Entry(Mul + "/n128/schoolbook", "barrett", 1024, 8) + "]}";
+    std::fputs(Json.c_str(), F);
+    std::fclose(F);
+  }
+  AutotunerOptions TO;
+  TO.CachePath = Path;
+  {
+    Autotuner T(registry(), TO);
+    ASSERT_EQ(T.numDecisions(), 4u) << T.error();
+    Dispatcher D(registry(), &T);
+    for (size_t N : {64, 128, 64}) {
+      ASSERT_TRUE(D.vadd(Q, A.data(), B.data(), C.data(), N)) << D.error();
+      EXPECT_EQ(C[0], 8u);
+    }
+    EXPECT_EQ(D.cacheCounters().BoundEntries, 1u)
+        << "folded knobs split the addmod binding";
+    for (size_t N : {64, 128}) {
+      ASSERT_TRUE(D.vmul(Q, A.data(), B.data(), C.data(), N)) << D.error();
+      EXPECT_EQ(C[0], 15u);
+    }
+    EXPECT_EQ(D.cacheCounters().BoundEntries, 2u)
+        << "another op gets its own binding; folded knobs do not";
+    // Another modulus of the same width: same compiled plan and the same
+    // tuned decision, but its own broadcast tail and binding.
+    const Bignum Q2 = field::nttPrime(60, 12);
+    ASSERT_NE(Q, Q2);
+    std::vector<std::uint64_t> Top(64, (Q2 - Bignum(1)).low64()), Two(64, 2);
+    ASSERT_TRUE(D.vadd(Q2, Top.data(), Two.data(), C.data(), 64))
+        << D.error();
+    EXPECT_EQ(C[0], 1u) << "(q2 - 1) + 2 must reduce modulo q2";
+    EXPECT_EQ(D.cacheCounters().BoundEntries, 3u);
+    EXPECT_EQ(T.stats().Tuned, 0u);
+    EXPECT_EQ(D.degradeCounters().TunerFallbacks, 0u);
+  }
+  std::remove(Path.c_str());
+
+  // The ring and the RNS wide word count are key axes of their own.
+  Dispatcher D(registry(), nullptr, pinned(ExecBackend::Serial, 2));
+  std::vector<std::uint64_t> Poly(16 * K, 7);
+  ASSERT_TRUE(D.nttForward(Q, Poly.data(), 16, 1)) << D.error();
+  ASSERT_TRUE(D.nttForward(Q, Poly.data(), 16, 1)) << D.error();
+  EXPECT_EQ(D.cacheCounters().BoundEntries, 1u);
+  EXPECT_EQ(D.cacheCounters().TableEntries, 1u);
+  ASSERT_TRUE(D.nttForward(Q, Poly.data(), 16, 1,
+                           rewrite::NttRing::Negacyclic))
+      << D.error();
+  EXPECT_EQ(D.cacheCounters().BoundEntries, 2u);
+  EXPECT_EQ(D.cacheCounters().TableEntries, 2u);
+
+  // Two bases sharing their first two limb primes: the limbs' decompose
+  // bindings differ only in the wide word count (2 vs 4 words).
+  RnsContext Two, Four;
+  std::string Err;
+  ASSERT_TRUE(RnsContext::create(2, Two, &Err)) << Err;
+  ASSERT_TRUE(RnsContext::create(4, Four, &Err)) << Err;
+  ASSERT_EQ(Two.limb(0), Four.limb(0));
+  ASSERT_EQ(Two.limb(1), Four.limb(1));
+  ASSERT_NE(Two.wideWords(), Four.wideWords());
+  std::vector<std::uint64_t> Wide(4 * 4, 0), Res(4 * 4);
+  Wide[3] = 12345; // element 0 = 12345 in both layouts' low word
+  ASSERT_TRUE(D.rnsDecompose(Two, Wide.data() + 2, Res.data(), 1))
+      << D.error();
+  EXPECT_EQ(D.cacheCounters().BoundEntries, 4u);
+  ASSERT_TRUE(D.rnsDecompose(Four, Wide.data(), Res.data(), 1)) << D.error();
+  EXPECT_EQ(D.cacheCounters().BoundEntries, 8u);
+  for (size_t L = 0; L < 4; ++L)
+    EXPECT_EQ(Res[L], 12345u) << "limb " << L;
 }
 
 //===----------------------------------------------------------------------===//

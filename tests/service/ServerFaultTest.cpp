@@ -11,6 +11,7 @@
 
 #include "../TestUtil.h"
 
+#include "fhe/Fhe.h"
 #include "field/PrimeGen.h"
 #include "runtime/Dispatcher.h"
 #include "service/Server.h"
@@ -22,6 +23,7 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <unistd.h>
 
@@ -282,6 +284,101 @@ TEST(ServerFault, DefaultDeadlineAppliesAndBatchesAreNeverTorn) {
   EXPECT_FALSE(R2.Ok);
   EXPECT_EQ(R2.Code, ErrorCode::DeadlineExceeded) << R2.Error;
   EXPECT_EQ(Srv.stats().DeadlineExpired, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Reply timestamps
+//===----------------------------------------------------------------------===//
+
+TEST(ServerFault, EveryReplyCarriesArrivalNoLaterThanDone) {
+  FaultGuard G;
+  SeededRng R(0xa771);
+  FreshCacheDir Dir("arrival");
+  KernelRegistry Reg(Dir.options());
+  const Bignum Q = q60();
+  const size_t N = 8;
+  const unsigned K = Dispatcher::elemWords(Q);
+  std::vector<std::uint64_t> A = randomWords(R, Q, N),
+                             B = randomWords(R, Q, N);
+  {
+    Dispatcher Warm(Reg);
+    std::vector<std::uint64_t> C(N * K);
+    ASSERT_TRUE(Warm.vadd(Q, A.data(), B.data(), C.data(), N))
+        << Warm.error();
+    ASSERT_TRUE(Warm.vmul(Q, A.data(), B.data(), C.data(), N))
+        << Warm.error();
+  }
+  using Clock = std::chrono::steady_clock;
+  auto ExpectStamps = [](const Reply &Rep, Clock::time_point Sent,
+                         const char *Path) {
+    EXPECT_GE(Rep.Arrival, Sent) << Path;
+    EXPECT_LE(Rep.Arrival, Rep.Done) << Path;
+    EXPECT_LE(Rep.Done, Clock::now()) << Path;
+  };
+
+  // Every dispatch stalls 400ms, so the lone worker is busy while the
+  // other paths play out behind it: an expiring request, a full queue,
+  // a refused ciphertext product, and submissions racing the destructor.
+  FaultInjection::instance().configure("server.dispatch",
+                                       FaultPolicy::delayUs(400000));
+  ServerOptions O;
+  O.Workers = 1;
+  O.QueueCap = 2;
+  auto Srv = std::make_unique<service::Server>(Reg, O);
+  std::vector<std::uint64_t> C1(N * K), C2(N * K), C3(N * K), C4(N * K);
+
+  const Clock::time_point T1 = Clock::now();
+  std::future<Reply> Served = Srv->vadd(Q, A.data(), B.data(), C1.data(), N);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const Clock::time_point T2 = Clock::now();
+  std::future<Reply> Expiring = Srv->vmul(Q, A.data(), B.data(), C2.data(),
+                                          N, /*DeadlineUs=*/1000);
+  const Clock::time_point T3 = Clock::now();
+  std::future<Reply> Queued = Srv->vadd(Q, A.data(), B.data(), C3.data(), N);
+  const Clock::time_point T4 = Clock::now();
+  std::future<Reply> Full = Srv->vadd(Q, A.data(), B.data(), C4.data(), N);
+  fhe::Ciphertext Bad;
+  const Clock::time_point T5 = Clock::now();
+  std::future<Reply> Refused = Srv->submitCtMul(Bad, Bad, Bad);
+
+  Reply FullRep = Full.get();
+  EXPECT_EQ(FullRep.Code, ErrorCode::QueueFull) << FullRep.Error;
+  ExpectStamps(FullRep, T4, "queue-full");
+  Reply RefusedRep = Refused.get();
+  EXPECT_EQ(RefusedRep.Code, ErrorCode::InvalidRequest) << RefusedRep.Error;
+  ExpectStamps(RefusedRep, T5, "ctmul refusal");
+
+  // Destroy the server on another thread while the worker is still in
+  // its stalled dispatch: the destructor stops admissions first and then
+  // waits out the queue, so submissions from here see ShuttingDown.
+  service::Server *Live = Srv.get();
+  std::thread Stopper([&] { Srv.reset(); });
+  Reply Stopping;
+  Clock::time_point TS;
+  for (int Try = 0; Try < 200; ++Try) {
+    TS = Clock::now();
+    Stopping = Live->vadd(Q, A.data(), B.data(), C4.data(), N).get();
+    if (Stopping.Code == ErrorCode::ShuttingDown)
+      break;
+    EXPECT_EQ(Stopping.Code, ErrorCode::QueueFull) << Stopping.Error;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(Stopping.Code, ErrorCode::ShuttingDown) << Stopping.Error;
+  ExpectStamps(Stopping, TS, "shutting-down");
+  Stopper.join();
+
+  Reply ServedRep = Served.get();
+  ASSERT_TRUE(ServedRep.Ok) << ServedRep.Error;
+  ExpectStamps(ServedRep, T1, "served");
+  EXPECT_GE(ServedRep.Done - ServedRep.Arrival,
+            std::chrono::milliseconds(400));
+  Reply ExpiredRep = Expiring.get();
+  EXPECT_EQ(ExpiredRep.Code, ErrorCode::DeadlineExceeded)
+      << ExpiredRep.Error;
+  ExpectStamps(ExpiredRep, T2, "deadline-exceeded");
+  Reply QueuedRep = Queued.get();
+  ASSERT_TRUE(QueuedRep.Ok) << QueuedRep.Error;
+  ExpectStamps(QueuedRep, T3, "served after queueing");
 }
 
 //===----------------------------------------------------------------------===//

@@ -151,6 +151,59 @@ TEST(Server, BurstCoalescesAndMatchesSerial) {
   EXPECT_GE(St.Coalesced, 2u);
 }
 
+TEST(Server, BacklogCoalescesAtDefaultOptions) {
+  // Work-conserving default (no coalesce window): the lone worker starts
+  // the long product at once, the vmul burst queues behind it, and the
+  // worker takes that whole backlog as one batch when it frees up.
+  SeededRng R(0xb4c1);
+  const Bignum Q = field::nttPrime(256, 16);
+  const Bignum QV = q60();
+  const size_t PolyN = 16384, VecN = 4, Reqs = 32;
+  const unsigned K = Dispatcher::elemWords(Q), KV = Dispatcher::elemWords(QV);
+
+  Dispatcher Serial(registry());
+  std::vector<std::uint64_t> PA = randomWords(R, Q, PolyN),
+                             PB = randomWords(R, Q, PolyN),
+                             PC(PolyN * K), PWant(PolyN * K);
+  ASSERT_TRUE(Serial.polyMul(Q, PA.data(), PB.data(), PWant.data(), PolyN, 1))
+      << Serial.error();
+  std::vector<std::vector<std::uint64_t>> A, B, C(Reqs), Want(Reqs);
+  for (size_t I = 0; I < Reqs; ++I) {
+    A.push_back(randomWords(R, QV, VecN));
+    B.push_back(randomWords(R, QV, VecN));
+    C[I].resize(VecN * KV);
+    Want[I].resize(VecN * KV);
+    ASSERT_TRUE(Serial.vmul(QV, A[I].data(), B[I].data(), Want[I].data(),
+                            VecN))
+        << Serial.error();
+  }
+
+  ServerOptions O;
+  O.Workers = 1;
+  ASSERT_EQ(O.CoalesceWindowUs, 0u);
+  service::Server Srv(registry(), O);
+  std::future<Reply> Long =
+      Srv.polyMul(Q, PA.data(), PB.data(), PC.data(), PolyN);
+  std::vector<std::future<Reply>> F;
+  for (size_t I = 0; I < Reqs; ++I)
+    F.push_back(Srv.vmul(QV, A[I].data(), B[I].data(), C[I].data(), VecN));
+  Srv.drain();
+
+  Reply LR = Long.get();
+  ASSERT_TRUE(LR.Ok) << LR.Error;
+  EXPECT_EQ(PC, PWant);
+  for (size_t I = 0; I < Reqs; ++I) {
+    Reply Rep = F[I].get();
+    ASSERT_TRUE(Rep.Ok) << Rep.Error;
+    EXPECT_EQ(C[I], Want[I]) << "request " << I;
+  }
+  service::Server::Stats St = Srv.stats();
+  EXPECT_EQ(St.Requests, Reqs + 1);
+  EXPECT_EQ(St.Dispatches, 2u);
+  EXPECT_EQ(St.MaxBatchSize, Reqs);
+  EXPECT_EQ(St.Coalesced, Reqs);
+}
+
 TEST(Server, MixedConcurrentClientsMatchSerial) {
   SeededRng R(0xc0a1);
   const Bignum Q60 = q60(), Q124 = q124();
