@@ -9,7 +9,6 @@
 
 #include "support/FaultInjection.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -106,39 +105,10 @@ HostJit::HostJit(HostJitOptions O) : Opts(std::move(O)) {
 }
 
 HostJit::Stats HostJit::stats() const {
-  std::lock_guard<std::mutex> L(Mu);
+  Stats S;
+  S.Compiles = Compiles.load(std::memory_order_relaxed);
+  S.DiskHits = DiskHits.load(std::memory_order_relaxed);
   return S;
-}
-
-void HostJit::setCacheCap(size_t Max) {
-  std::lock_guard<std::mutex> L(Mu);
-  CacheCap = std::max<size_t>(1, Max);
-  evictLocked();
-}
-
-void HostJit::evictLocked() {
-  // O(n) min-scan on the LastUse tick, the same idiom as the Dispatcher's
-  // bounded caches: eviction is rare and n is the cap, so a heap would be
-  // complexity without a win. Holders of the evicted shared_ptr keep
-  // their module loaded; the cache merely forgets it.
-  while (Loaded.size() > CacheCap) {
-    auto Victim = Loaded.begin();
-    for (auto It = Loaded.begin(); It != Loaded.end(); ++It)
-      if (It->second.LastUse < Victim->second.LastUse)
-        Victim = It;
-    Loaded.erase(Victim);
-    ++S.Evictions;
-  }
-}
-
-size_t HostJit::cacheCap() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return CacheCap;
-}
-
-size_t HostJit::cacheSize() const {
-  std::lock_guard<std::mutex> L(Mu);
-  return Loaded.size();
 }
 
 bool HostJit::compile(const std::string &Source, const std::string &ExtraFlags,
@@ -230,14 +200,18 @@ bool HostJit::compile(const std::string &Source, const std::string &ExtraFlags,
     CleanupTemps();
     return false;
   }
-  std::lock_guard<std::mutex> L(Mu);
-  ++S.Compiles;
+  Compiles.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
-std::shared_ptr<JitModule> HostJit::loadUncached(const std::string &Source,
-                                                 const std::string &ExtraFlags,
-                                                 std::string &Error) {
+std::shared_ptr<JitModule> HostJit::load(const std::string &Source,
+                                         const std::string &ExtraFlags) {
+  Err.clear();
+  std::string Error;
+  auto Fail = [&]() -> std::shared_ptr<JitModule> {
+    Err.set(Error);
+    return nullptr;
+  };
   std::uint64_t Key = fnv1a({&Opts.Compiler, &Opts.Flags, &ExtraFlags,
                              &Source});
   std::string Base = Opts.CacheDir + "/moma-" + hex64(Key);
@@ -245,17 +219,17 @@ std::shared_ptr<JitModule> HostJit::loadUncached(const std::string &Source,
   std::string SoPath = Base + ".so";
   std::string LogPath = Base + ".log";
 
-  // The stored-source removal that used to precede publishing lives here,
-  // before compile() spends compiler time: a disk entry counts as a hit
-  // only if the source it was built from is byte-identical — this guards
-  // against both hash collisions and a mangled cache directory.
+  // A disk entry counts as a hit only if the source it was built from is
+  // byte-identical — this guards against both hash collisions and a
+  // mangled cache directory. A miss removes the stored source before
+  // compile() spends compiler time, so no stale pairing survives it.
   std::error_code EC;
   bool FromDisk = Opts.UseDiskCache && fs::exists(SoPath, EC) &&
                   readFile(SrcPath) == Source;
   if (!FromDisk) {
     fs::remove(SrcPath, EC); // invalidate any stale pairing first
     if (!compile(Source, ExtraFlags, SrcPath, SoPath, LogPath, Error))
-      return nullptr;
+      return Fail();
   }
 
   // Chaos hook for loader failures (corrupt .so, exhausted mmap space);
@@ -263,7 +237,7 @@ std::shared_ptr<JitModule> HostJit::loadUncached(const std::string &Source,
   // that compiled fine.
   if (support::faultShouldFail("jit.dlopen")) {
     Error = "HostJit: fault injected at jit.dlopen";
-    return nullptr;
+    return Fail();
   }
   void *Handle = dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!Handle && FromDisk) {
@@ -272,89 +246,19 @@ std::shared_ptr<JitModule> HostJit::loadUncached(const std::string &Source,
     fs::remove(SoPath, EC);
     fs::remove(SrcPath, EC);
     if (!compile(Source, ExtraFlags, SrcPath, SoPath, LogPath, Error))
-      return nullptr;
+      return Fail();
     Handle = dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
   }
   if (!Handle) {
     const char *DlMsg = dlerror();
     Error = std::string("HostJit: dlopen failed: ") +
             (DlMsg ? DlMsg : "(no message)");
-    return nullptr;
+    return Fail();
   }
-  if (FromDisk) {
-    std::lock_guard<std::mutex> L(Mu);
-    ++S.DiskHits;
-  }
+  if (FromDisk)
+    DiskHits.fetch_add(1, std::memory_order_relaxed);
   return std::shared_ptr<JitModule>(
       new JitModule(Handle, SoPath, SrcPath, FromDisk));
-}
-
-std::shared_ptr<JitModule> HostJit::load(const std::string &Source,
-                                         const std::string &ExtraFlags) {
-  Err.clear();
-
-  // Fast path and single-flight admission under one lock. The in-memory
-  // map is keyed by per-compile extra flags plus the full source (the
-  // instance-wide flags and compiler are fixed per instance), so a hash
-  // collision can never alias two kernels and a flag variant can never
-  // alias another. '\0' separates the parts unambiguously.
-  std::string MapKey = ExtraFlags + '\0' + Source;
-  std::shared_ptr<Flight> F;
-  bool Leader = false;
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    auto It = Loaded.find(MapKey);
-    if (It != Loaded.end()) {
-      ++S.MemoryHits;
-      It->second.LastUse = ++UseTick;
-      return It->second.Module;
-    }
-    auto FIt = InFlight.find(MapKey);
-    if (FIt != InFlight.end()) {
-      F = FIt->second;
-    } else {
-      F = std::make_shared<Flight>();
-      InFlight.emplace(MapKey, F);
-      Leader = true;
-    }
-  }
-
-  if (!Leader) {
-    // Another thread is already compiling this source: wait for its
-    // result and share the module (or its failure).
-    std::unique_lock<std::mutex> FL(F->M);
-    F->CV.wait(FL, [&] { return F->Done; });
-    if (!F->Module) {
-      Err.set(F->Error);
-      return nullptr;
-    }
-    std::lock_guard<std::mutex> L(Mu);
-    ++S.MemoryHits;
-    return F->Module;
-  }
-
-  // Leader: run the compile + dlopen slow path with no locks held, then
-  // publish to the cache and wake the followers.
-  std::string Error;
-  std::shared_ptr<JitModule> Module = loadUncached(Source, ExtraFlags, Error);
-  {
-    std::lock_guard<std::mutex> L(Mu);
-    if (Module) {
-      Loaded[MapKey] = Entry{Module, ++UseTick};
-      evictLocked();
-    }
-    InFlight.erase(MapKey);
-  }
-  {
-    std::lock_guard<std::mutex> FL(F->M);
-    F->Done = true;
-    F->Module = Module;
-    F->Error = Error;
-  }
-  F->CV.notify_all();
-  if (!Module)
-    Err.set(Error);
-  return Module;
 }
 
 } // namespace jit

@@ -19,10 +19,17 @@
 /// compiler and flags reuses the previously built shared object instead of
 /// re-invoking the compiler.
 ///
-/// Thread safety: load(), stats(), error(), and setCacheCap() may be
-/// called from any number of threads on one instance. Concurrent loads of
-/// the same cold source are single-flighted — one thread runs the host
-/// compiler, the rest block and share the resulting module. error() is a
+/// HostJit keeps no in-memory cache of its own: the process-wide cache of
+/// compiled code is runtime::KernelRegistry, which holds each plan's
+/// module and single-flights cold keys. Every load() hashes the source,
+/// then either reuses the matching .so from the cache directory or
+/// compiles and publishes one, then dlopen-s it.
+///
+/// Thread safety: load(), stats(), and error() may be called from any
+/// number of threads on one instance (and any number of processes may
+/// share one cache directory). Concurrent loads of the same cold source
+/// may each run the compiler; the publish protocol (private temp files
+/// renamed into place) makes the race harmless. error() is a
 /// per-calling-thread slot, so one thread's failure diagnostic is never
 /// clobbered by another's.
 ///
@@ -33,12 +40,9 @@
 
 #include "support/ThreadError.h"
 
-#include <condition_variable>
-#include <cstdint>
+#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 namespace moma {
 namespace jit {
@@ -108,25 +112,22 @@ private:
   bool FromDiskCache = false;
 };
 
-/// Compiles source strings into loaded modules, deduplicating within this
-/// instance (modules stay loaded and are returned again for identical
-/// source), across threads (concurrent cold loads single-flight onto one
-/// compiler invocation), and across processes (content-addressed .so files
-/// in CacheDir). Thread-safe: share one instance freely.
+/// Compiles source strings into loaded modules, reusing content-addressed
+/// .so files in CacheDir across loads, instances, and processes.
+/// Thread-safe: share one instance freely.
 class HostJit {
 public:
   explicit HostJit(HostJitOptions Opts = HostJitOptions());
 
   /// Compiles \p Source into a shared object and loads it. Returns null on
   /// failure, in which case error() carries the captured host-compiler
-  /// diagnostics (or the dlopen message). Concurrent calls with the same
-  /// cold source block on one shared compile.
+  /// diagnostics (or the dlopen message). Each call returns a fresh
+  /// module; loads of one artifact share the dlopen handle underneath.
   ///
   /// \p ExtraFlags are per-compile driver flags appended after the
   /// instance-wide Flags (e.g. "-O3 -march=native" for a vector plan).
-  /// They are part of both the on-disk content hash and the in-memory
-  /// module key, so an artifact built with one flag set is never served
-  /// to a load() asking for another.
+  /// They are part of the on-disk content hash, so an artifact built with
+  /// one flag set is never served to a load() asking for another.
   std::shared_ptr<JitModule> load(const std::string &Source,
                                   const std::string &ExtraFlags = "");
 
@@ -136,65 +137,23 @@ public:
 
   /// Cache behavior counters, exposed for tests and tooling.
   struct Stats {
-    unsigned Compiles = 0;   ///< host compiler actually invoked
-    unsigned DiskHits = 0;   ///< .so reused from the cache directory
-    unsigned MemoryHits = 0; ///< module already loaded (or in flight) here
-    std::uint64_t Evictions = 0; ///< loaded modules dropped by the LRU cap
+    unsigned Compiles = 0; ///< host compiler actually invoked
+    unsigned DiskHits = 0; ///< .so reused from the cache directory
   };
   Stats stats() const;
-
-  /// Caps the loaded-module map: beyond \p Max entries the
-  /// least-recently-used module is dropped from the map (callers holding
-  /// the shared_ptr keep their module alive and callable; the cache just
-  /// forgets it). At least one entry is always kept. Matches the
-  /// Dispatcher's setCacheCaps pattern so a server handling an unbounded
-  /// stream of distinct kernels stays at steady memory.
-  void setCacheCap(size_t Max);
-  size_t cacheCap() const;
-  /// Number of modules currently retained by the in-memory cache.
-  size_t cacheSize() const;
 
   const std::string &compiler() const { return Opts.Compiler; }
   const std::string &cacheDir() const { return Opts.CacheDir; }
 
 private:
-  /// One in-memory cache slot with its LRU stamp.
-  struct Entry {
-    std::shared_ptr<JitModule> Module;
-    std::uint64_t LastUse = 0;
-  };
-  /// One in-progress cold load: the leader compiles, followers wait on CV
-  /// and share Module/Error.
-  struct Flight {
-    std::mutex M;
-    std::condition_variable CV;
-    bool Done = false;
-    std::shared_ptr<JitModule> Module;
-    std::string Error;
-  };
-
   bool compile(const std::string &Source, const std::string &ExtraFlags,
                const std::string &SrcPath, const std::string &SoPath,
                const std::string &LogPath, std::string &Error);
-  /// LRU-evicts Loaded down to CacheCap; requires Mu held.
-  void evictLocked();
-  /// The compile + dlopen slow path; no locks held, counters bumped
-  /// internally under Mu.
-  std::shared_ptr<JitModule> loadUncached(const std::string &Source,
-                                          const std::string &ExtraFlags,
-                                          std::string &Error);
 
   HostJitOptions Opts;
-  mutable std::mutex Mu; ///< guards S, Loaded, InFlight, CacheCap, UseTick
-  Stats S;
+  std::atomic<unsigned> Compiles{0};
+  std::atomic<unsigned> DiskHits{0};
   support::ThreadError Err;
-  /// Keyed by extra flags + '\0' + full source text: collisions in the
-  /// on-disk content hash can never alias two kernels within an instance,
-  /// and two flag variants of one source are distinct modules.
-  std::unordered_map<std::string, Entry> Loaded;
-  std::unordered_map<std::string, std::shared_ptr<Flight>> InFlight;
-  size_t CacheCap = 256;
-  std::uint64_t UseTick = 0; ///< LRU clock
 };
 
 } // namespace jit

@@ -68,13 +68,6 @@ struct AutotunerOptions {
   /// share one compiled module per knob combination. Empty skips the
   /// vector backend from the sweep.
   std::vector<unsigned> VectorWidths = {4, 8, 16};
-  /// Sweep the NTT stage-fusion depth for transform-shaped problems
-  /// (chooseNtt). Off pins the base plan's FuseDepth. Like the block
-  /// dimension, depth is a launch parameter — the sweep costs timing
-  /// only, no extra compiles.
-  bool TuneFuseDepth = true;
-  /// Fusion depths swept (clamped to PlanOptions::MaxFuseDepth).
-  std::vector<unsigned> FuseDepths = {1, 2, 3};
   /// When non-empty: load(CachePath) at construction and save(CachePath)
   /// after every tuning run, so decisions survive process restarts.
   std::string CachePath;
@@ -117,7 +110,8 @@ public:
   /// variant for whole batched NTTs of \p NPoints points (candidates are
   /// timed on real fused stage-group walks — bit-reversal gather,
   /// in-register sub-stages, domain-matched twiddle tables — so the
-  /// FuseDepth axis is measured, not guessed). Decisions key on the
+  /// FuseDepth axis, every depth 1..PlanOptions::MaxFuseDepth, is
+  /// measured, not guessed). Decisions key on the
   /// butterfly problem, the transform size, and the batch-size class of
   /// (NPoints/2) * Batch butterflies per stage dispatch. \p Q must be
   /// NTT-friendly for \p NPoints (2-adicity >= log2 n); null with

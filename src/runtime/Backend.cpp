@@ -418,9 +418,9 @@ bool SimGpuBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
   if (N == 0 || Rows == 0)
     return true;
 
-  std::vector<std::uint64_t> Strides(Args.Ins.size(), P.ElemWords);
-  for (size_t I = 0; I < Args.InStrides.size(); ++I)
-    Strides[I] = Args.InStrides[I];
+  std::uint64_t Strides[PortList<size_t>::Capacity];
+  for (size_t I = 0; I < Args.Ins.size(); ++I)
+    Strides[I] = Args.InStrides.empty() ? P.ElemWords : Args.InStrides[I];
 
   unsigned BD = P.Key.Opts.BlockDim;
   std::uint64_t GridX = (N + BD - 1) / BD;
@@ -438,7 +438,7 @@ bool SimGpuBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
     return fail(Err, "sim-GPU launch: " + VErr);
   auto Fn = reinterpret_cast<GridFnTy>(P.GridFn);
   Dev.launchBlocks(Cfg, [&](std::uint32_t BX, std::uint32_t BY) {
-    Fn(BX, BY, BD, N, Args.Outs.data(), Args.Ins.data(), Strides.data(),
+    Fn(BX, BY, BD, N, Args.Outs.data(), Args.Ins.data(), Strides,
        Args.Aux.data());
   });
   return true;
@@ -500,16 +500,16 @@ bool VectorBackend::runBatch(const CompiledPlan &P, const BatchArgs &Args,
   if (N == 0 || Rows == 0)
     return true;
 
-  std::vector<std::uint64_t> Strides(Args.Ins.size(), P.ElemWords);
-  for (size_t I = 0; I < Args.InStrides.size(); ++I)
-    Strides[I] = Args.InStrides[I];
+  std::uint64_t Strides[PortList<size_t>::Capacity];
+  for (size_t I = 0; I < Args.Ins.size(); ++I)
+    Strides[I] = Args.InStrides.empty() ? P.ElemWords : Args.InStrides[I];
 
   // Row-major batch rows are contiguous and broadcast (stride 0) inputs
   // broadcast across every row, so the lane loop runs over the flat
   // N * Rows element product in one call.
   auto Fn = reinterpret_cast<VecFnTy>(P.VecFn);
   Fn(P.Key.Opts.VectorWidth, N * Rows, Args.Outs.data(), Args.Ins.data(),
-     Strides.data(), Args.Aux.data());
+     Strides, Args.Aux.data());
   return true;
 }
 

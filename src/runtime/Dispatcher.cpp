@@ -391,7 +391,7 @@ bool Dispatcher::transform(const Bignum &Q, std::uint64_t *Data,
 
   ScratchLease SL(*this);
   std::uint64_t *PingPong = nullptr;
-  if (planStageGroups(T->LogN, P.Key.Opts.FuseDepth).size() > 1) {
+  if (stageGroupCount(T->LogN, P.Key.Opts.FuseDepth) > 1) {
     size_t Need = NPoints * Batch * P.ElemWords;
     if (SL->Ntt.size() < Need)
       SL->Ntt.resize(Need); // grow-only: steady state allocates nothing
@@ -430,9 +430,9 @@ bool Dispatcher::polyMul(const Bignum &Q, const std::uint64_t *A,
   // point-wise product); only B needs a scratch copy — into a leased,
   // grow-only pool buffer, so steady-state batched polyMul never grows
   // its data scratch, and the nested NTT/vmul calls (which lease their
-  // own entries) can never alias it. Small per-call bookkeeping (the
-  // BatchArgs port vectors, the stage-group schedule) still allocates.
-  // The ring rides the transforms' edge folds, so a negacyclic product
+  // own entries) can never alias it. The port lists and the stage-group
+  // schedule live on the stack, so a warm call allocates nothing. The
+  // ring rides the transforms' edge folds, so a negacyclic product
   // issues exactly the cyclic dispatch sequence.
   if (C != A)
     std::copy(A, A + Total, C);

@@ -7,6 +7,7 @@
 
 #include "runtime/KernelRegistry.h"
 
+#include "codegen/CEmitter.h"
 #include "codegen/GridEmitter.h"
 #include "codegen/VectorEmitter.h"
 #include "kernels/NttKernels.h"
@@ -515,41 +516,40 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
     return P;
   }
 
+  // The emitted source is a local: once loaded, nothing reads it again.
+  // Plans differing only in a launch parameter — BlockDim for sim-GPU,
+  // VectorWidth for vector, FuseDepth for butterfly kernels — emit
+  // identical source, so their builds hash to one artifact and every one
+  // after the first is a HostJit disk hit on the same .so.
+  codegen::EmittedKernel E;
   std::string FusedSymbol;
   if (IsVector) {
-    // SIMD lane-loop artifact. The lane count — and, for butterfly
-    // kernels, the stage-fusion depth — are runtime launch parameters of
-    // the vector ABI, so plans differing only in VectorWidth or FuseDepth
-    // share one module through HostJit's source-identity dedup while
-    // remaining distinct cache entries.
+    // SIMD lane-loop artifact; the lane count and the stage-fusion depth
+    // are runtime launch parameters of the vector ABI.
     codegen::EmittedVectorKernel V = codegen::emitVectorC(P->Lowered);
-    P->Emitted.Source = std::move(V.Source);
-    P->Emitted.Symbol = V.VecSymbol;
-    P->Emitted.Ports = std::move(V.Ports);
+    E.Source = std::move(V.Source);
+    E.Symbol = V.VecSymbol;
+    E.Ports = std::move(V.Ports);
     FusedSymbol = V.FusedSymbol;
   } else if (IsSimGpu) {
-    // Grid-shaped artifact (paper 5.1 thread mapping as host-JIT C). The
-    // block dimension — and, for butterfly kernels, the stage-fusion
-    // depth — are runtime launch parameters of the grid ABI, so plans
-    // differing only in BlockDim or FuseDepth share one module through
-    // HostJit's source-identity dedup while remaining distinct cache
-    // entries.
+    // Grid-shaped artifact (paper 5.1 thread mapping as host-JIT C); the
+    // block dimension and the stage-fusion depth are runtime launch
+    // parameters of the grid ABI.
     codegen::EmittedGridKernel G = codegen::emitGridC(P->Lowered);
-    P->Emitted.Source = std::move(G.Source);
-    P->Emitted.Symbol = G.GridSymbol;
-    P->Emitted.Ports = std::move(G.Ports);
+    E.Source = std::move(G.Source);
+    E.Symbol = G.GridSymbol;
+    E.Ports = std::move(G.Ports);
     FusedSymbol = G.FusedSymbol;
   } else {
-    P->Emitted = codegen::emitC(P->Lowered);
+    E = codegen::emitC(P->Lowered);
   }
 
   // Vector artifacts carry per-plan extra flags: the JIT's default -O1
   // keeps plan builds fast, but the lane loops need the optimizer (and
   // the native ISA when available) to actually turn into SIMD. The flags
-  // are part of HostJit's content hash and in-memory key, so the -O1 and
-  // -O3 worlds never serve each other's objects.
-  P->Module = Jit.load(P->Emitted.Source,
-                       IsVector ? MOMA_VEC_EXTRA_FLAGS : "");
+  // are part of HostJit's content hash, so the -O1 and -O3 worlds never
+  // serve each other's objects.
+  P->Module = Jit.load(E.Source, IsVector ? MOMA_VEC_EXTRA_FLAGS : "");
   if (!P->Module) {
     // Compiler and loader trouble is the canonical transient failure
     // class (crashed cc, full /tmp, OOM killer): retry with backoff.
@@ -560,10 +560,10 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
   // Symbol lookups carry the dlerror() diagnostic: a stripped or
   // mis-emitted module reports the loader's reason, not a bare "missing".
   std::string DlErr;
-  void *EntryFn = P->Module->symbol(P->Emitted.Symbol, &DlErr);
+  void *EntryFn = P->Module->symbol(E.Symbol, &DlErr);
   if (!EntryFn) {
     Error = formatv("KernelRegistry: symbol '%s' missing from %s: %s",
-                    P->Emitted.Symbol.c_str(), P->Module->soPath().c_str(),
+                    E.Symbol.c_str(), P->Module->soPath().c_str(),
                     DlErr.empty() ? "resolved to null" : DlErr.c_str());
     return nullptr;
   }
@@ -585,7 +585,7 @@ std::shared_ptr<CompiledPlan> KernelRegistry::build(const PlanKey &Key,
 
   // The emitted signature must agree with the lowered port layout
   // computed above.
-  if (P->numPorts() != P->Emitted.Ports.size()) {
+  if (P->numPorts() != E.Ports.size()) {
     Error = "KernelRegistry: unsupported port shape";
     return nullptr;
   }

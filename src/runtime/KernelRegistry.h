@@ -11,9 +11,12 @@
 /// of serving a request — build the IR, run the rewrite system, emit C,
 /// invoke the host compiler, dlopen — happens once per key; every later
 /// batch through the same key is a hash lookup plus N function calls.
-/// HostJit's content-hash disk cache additionally carries compiled objects
-/// across processes, so a warmed cache directory makes even the first
-/// request of a process cheap.
+/// This is the only in-process cache of compiled code: HostJit below it
+/// keeps none, and a plan holds its loaded module but not the source it
+/// was built from. HostJit's content-hash disk cache carries compiled
+/// objects across registries and processes, so a warmed cache directory
+/// makes even the first request of a process cheap, and plans differing
+/// only in a launch parameter share one compiled artifact.
 ///
 /// Thread safety: get(), backendFor(), stats(), and error() may be called
 /// from any number of threads on one registry — the serving layer
@@ -29,15 +32,17 @@
 #ifndef MOMA_RUNTIME_KERNELREGISTRY_H
 #define MOMA_RUNTIME_KERNELREGISTRY_H
 
-#include "codegen/CEmitter.h"
 #include "jit/HostJit.h"
+#include "rewrite/Lower.h"
 #include "runtime/PlanKey.h"
 #include "sim/Device.h"
+#include "support/Error.h"
 #include "support/ThreadError.h"
 
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -62,18 +67,17 @@ class ExecutionBackend;
 struct CompiledPlan {
   PlanKey Key;
   rewrite::LoweredKernel Lowered; ///< port layout source of truth
-  codegen::EmittedKernel Emitted; ///< source + symbol + port signature
   std::shared_ptr<jit::JitModule> Module;
   void *Fn = nullptr;      ///< serial entry point (pointer-per-port ABI)
   void *GridFn = nullptr;  ///< sim-GPU element-wise block entry
   void *FusedFn = nullptr; ///< sim-GPU fused stage-group entry (butterfly);
                            ///< fusion depth is a launch parameter, so every
-                           ///< FuseDepth key of one kernel shares the module
+                           ///< FuseDepth key of one kernel shares the .so
   void *VecFn = nullptr;      ///< vector element-wise lane-loop entry
   void *VecFusedFn = nullptr; ///< vector fused stage-group entry
                               ///< (butterfly); the lane count is a launch
                               ///< parameter, so every VectorWidth key of
-                              ///< one kernel shares the module
+                              ///< one kernel shares the .so
   /// Interp plans carry the scalar kernel itself instead of an entry
   /// point: InterpBackend runs it through ir::interpret per element, with
   /// no compiled code at all (the degradation ladder's terminal rung).
@@ -91,17 +95,53 @@ struct CompiledPlan {
   }
 };
 
+/// A list of at most eight port pointers (or strides) held inline: eight
+/// is the bound every plan's port count obeys, so building a BatchArgs
+/// per dispatch allocates nothing. Fills from a braced list, a
+/// std::vector, or push_back, like the std::vector it stands in for.
+template <typename T> class PortList {
+public:
+  static constexpr size_t Capacity = 8;
+
+  PortList() = default;
+  PortList(std::initializer_list<T> L) {
+    for (const T &V : L)
+      push_back(V);
+  }
+  PortList(const std::vector<T> &V) {
+    for (const T &E : V)
+      push_back(E);
+  }
+
+  void push_back(T V) {
+    if (N == Capacity)
+      fatalError("PortList: a plan has at most 8 ports");
+    Items[N++] = V;
+  }
+  void clear() { N = 0; }
+  size_t size() const { return N; }
+  bool empty() const { return N == 0; }
+  const T &operator[](size_t I) const { return Items[I]; }
+  const T *data() const { return Items; }
+  const T *begin() const { return Items; }
+  const T *end() const { return Items + N; }
+
+private:
+  T Items[Capacity] = {};
+  size_t N = 0;
+};
+
 /// Batched call description for ExecutionBackend::runBatch: flat arrays
 /// of N elements with ElemWords words each (most significant word first,
 /// the emitted-kernel convention), plus the broadcast auxiliary ports.
 struct BatchArgs {
-  std::vector<std::uint64_t *> Outs;      ///< NumOutputs arrays
-  std::vector<const std::uint64_t *> Ins; ///< NumDataInputs arrays
+  PortList<std::uint64_t *> Outs;      ///< NumOutputs arrays
+  PortList<const std::uint64_t *> Ins; ///< NumDataInputs arrays
   /// Per-input word stride between consecutive elements: ElemWords for
   /// vector inputs, 0 to broadcast one element to the whole batch (the
   /// axpy scalar). Empty means all-vector.
-  std::vector<size_t> InStrides;
-  std::vector<const std::uint64_t *> Aux; ///< AuxWords.size() arrays
+  PortList<size_t> InStrides;
+  PortList<const std::uint64_t *> Aux; ///< AuxWords.size() arrays
 };
 
 /// Packs \p V into \p Words 64-bit words, most significant first (the

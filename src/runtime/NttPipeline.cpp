@@ -117,16 +117,31 @@ bool moma::runtime::buildNttTables(const Bignum &Q, size_t NPoints,
   return true;
 }
 
+namespace {
+
+unsigned clampFuseDepth(unsigned FuseDepth) {
+  return std::max(1u, std::min(FuseDepth, rewrite::PlanOptions::MaxFuseDepth));
+}
+
+} // namespace
+
+size_t moma::runtime::stageGroupCount(unsigned LogN, unsigned FuseDepth) {
+  unsigned Depth = clampFuseDepth(FuseDepth);
+  return (LogN + Depth - 1) / Depth;
+}
+
+StageGroupPlan moma::runtime::stageGroupAt(unsigned LogN, unsigned FuseDepth,
+                                           size_t I) {
+  unsigned Depth = clampFuseDepth(FuseDepth);
+  unsigned Done = static_cast<unsigned>(I) * Depth;
+  return {size_t(1) << Done, std::min(Depth, LogN - Done)};
+}
+
 std::vector<StageGroupPlan>
 moma::runtime::planStageGroups(unsigned LogN, unsigned FuseDepth) {
-  unsigned Depth = std::max(
-      1u, std::min(FuseDepth, rewrite::PlanOptions::MaxFuseDepth));
   std::vector<StageGroupPlan> Out;
-  for (unsigned Done = 0; Done < LogN;) {
-    unsigned D = std::min(Depth, LogN - Done);
-    Out.push_back({size_t(1) << Done, D});
-    Done += D;
-  }
+  for (size_t I = 0, G = stageGroupCount(LogN, FuseDepth); I < G; ++I)
+    Out.push_back(stageGroupAt(LogN, FuseDepth, I));
   return Out;
 }
 
@@ -135,9 +150,8 @@ bool moma::runtime::runTransform(
     const std::vector<const std::uint64_t *> &Aux, std::uint64_t *Data,
     std::uint64_t *Scratch, size_t NPoints, size_t Batch, bool Inverse,
     std::string *Err, std::uint64_t *Dispatches) {
-  std::vector<StageGroupPlan> Groups =
-      planStageGroups(T.LogN, P.Key.Opts.FuseDepth);
-  size_t G = Groups.size();
+  const unsigned FuseDepth = P.Key.Opts.FuseDepth;
+  const size_t G = stageGroupCount(T.LogN, FuseDepth);
   if (G > 1 && !Scratch)
     return fail(Err, "runTransform: multi-group schedule needs a scratch "
                      "buffer");
@@ -155,9 +169,10 @@ bool moma::runtime::runTransform(
   // thread (loads complete before stores) and runs in place.
   for (size_t I = 0; I < G; ++I) {
     bool First = I == 0, Last = I + 1 == G;
+    StageGroupPlan Group = stageGroupAt(T.LogN, FuseDepth, I);
     StageGroup SG;
-    SG.Len0 = Groups[I].Len0;
-    SG.Depth = Groups[I].Depth;
+    SG.Len0 = Group.Len0;
+    SG.Depth = Group.Depth;
     SG.Gather = First ? T.BitRev.data() : nullptr;
     // Negacyclic edge folds: ψ^i on the first forward group's loads,
     // ψ^{-i}·n^-1 (per element, n^-1 already folded) on the last inverse

@@ -79,10 +79,17 @@ struct StageGroupPlan {
 };
 
 /// Splits \p LogN radix-2 stages into fused groups of at most
-/// \p FuseDepth stages: full-depth groups first, the remainder (if any)
-/// last, ceil(LogN / FuseDepth) groups total.
+/// \p FuseDepth stages (clamped to [1, PlanOptions::MaxFuseDepth]):
+/// full-depth groups first, the remainder (if any) last,
+/// ceil(LogN / FuseDepth) groups total.
 std::vector<StageGroupPlan> planStageGroups(unsigned LogN,
                                             unsigned FuseDepth);
+
+/// The size of planStageGroups(LogN, FuseDepth) and its entry \p I,
+/// computed without building the list: the per-transform path walks the
+/// schedule through these and allocates nothing.
+size_t stageGroupCount(unsigned LogN, unsigned FuseDepth);
+StageGroupPlan stageGroupAt(unsigned LogN, unsigned FuseDepth, size_t I);
 
 /// Runs one in-place batched transform over \p Batch rows of \p NPoints
 /// elements in \p Data through \p EB with butterfly plan \p P, walking

@@ -2,8 +2,8 @@
 //
 // The compile-and-load subsystem the codegen suites and examples build on:
 // source goes in, a callable module comes out, errors are captured, and
-// identical source never reaches the compiler twice (in-memory module
-// reuse within an instance, content-hash .so reuse across instances).
+// identical source never reaches the compiler twice (content-hash .so
+// reuse within an instance and across instances).
 //
 //===----------------------------------------------------------------------===//
 
@@ -63,16 +63,25 @@ TEST(HostJit, CompilesLoadsAndResolves) {
   EXPECT_TRUE(std::filesystem::exists(M->sourcePath()));
 }
 
-TEST(HostJit, SameSourceSameInstanceIsAMemoryHit) {
-  FreshCacheDir Dir("memhit");
+TEST(HostJit, SameSourceSameInstanceIsADiskHit) {
+  // HostJit keeps no module map: a reload of the same source finds the
+  // artifact the first load published and compiles nothing.
+  FreshCacheDir Dir("reload");
   jit::HostJit Jit(Dir.options());
   std::shared_ptr<jit::JitModule> M1 = Jit.load(AddSource);
-  std::shared_ptr<jit::JitModule> M2 = Jit.load(AddSource);
   ASSERT_NE(M1, nullptr) << Jit.error();
-  EXPECT_EQ(M1.get(), M2.get());
+  std::shared_ptr<jit::JitModule> M2 = Jit.load(AddSource);
+  ASSERT_NE(M2, nullptr) << Jit.error();
+  EXPECT_FALSE(M1->fromDiskCache());
+  EXPECT_TRUE(M2->fromDiskCache());
+  EXPECT_EQ(M1->soPath(), M2->soPath());
   EXPECT_EQ(Jit.stats().Compiles, 1u);
-  EXPECT_EQ(Jit.stats().MemoryHits, 1u);
-  EXPECT_EQ(Jit.stats().DiskHits, 0u);
+  EXPECT_EQ(Jit.stats().DiskHits, 1u);
+  // Both modules stay callable; dropping one leaves the other loaded.
+  auto Add2 = M2->symbolAs<long (*)(long, long)>("moma_jit_add");
+  M1.reset();
+  ASSERT_NE(Add2, nullptr);
+  EXPECT_EQ(Add2(40, 2), 42);
 }
 
 TEST(HostJit, SameSourceFreshInstanceIsADiskHit) {
@@ -108,24 +117,25 @@ TEST(HostJit, DifferentFlagsMissTheCache) {
 
 TEST(HostJit, PerLoadExtraFlagsAreDistinctModules) {
   // Per-call extra flags (the vector backend's -O3 -march=native) key
-  // both caches: the same source at different optimization levels must
-  // be two compiled modules, never one silently shared artifact.
+  // the cache: the same source at different optimization levels must be
+  // two compiled modules, never one silently shared artifact.
   FreshCacheDir Dir("extraflags");
   jit::HostJit Jit(Dir.options());
   std::shared_ptr<jit::JitModule> MDefault = Jit.load(AddSource);
   ASSERT_NE(MDefault, nullptr) << Jit.error();
   std::shared_ptr<jit::JitModule> MFast = Jit.load(AddSource, "-O3");
   ASSERT_NE(MFast, nullptr) << Jit.error();
-  EXPECT_NE(MDefault.get(), MFast.get())
-      << "extra flags are part of the in-memory cache key";
+  EXPECT_FALSE(MFast->fromDiskCache());
   EXPECT_EQ(Jit.stats().Compiles, 2u);
   EXPECT_NE(MDefault->soPath(), MFast->soPath())
       << "extra flags are part of the disk-cache content hash";
-  // Same source + same extra flags is still a memory hit.
+  // Same source + same extra flags reloads that artifact without a
+  // compile.
   std::shared_ptr<jit::JitModule> MAgain = Jit.load(AddSource, "-O3");
-  EXPECT_EQ(MFast.get(), MAgain.get());
+  ASSERT_NE(MAgain, nullptr) << Jit.error();
+  EXPECT_EQ(MFast->soPath(), MAgain->soPath());
   EXPECT_EQ(Jit.stats().Compiles, 2u);
-  EXPECT_EQ(Jit.stats().MemoryHits, 1u);
+  EXPECT_EQ(Jit.stats().DiskHits, 1u);
   // And a fresh instance serves the flagged artifact from disk.
   jit::HostJit Second(Dir.options());
   std::shared_ptr<jit::JitModule> MDisk = Second.load(AddSource, "-O3");

@@ -3,14 +3,18 @@
 // The host stage-group walker keeps its register block, the butterfly's
 // discarded output and its zero input on the stack: a warm edge-group
 // dispatch on the serial backend (a forward transform's gather + twist
-// group, an inverse transform's scale group) allocates nothing. This
-// binary replaces the global operator new to count the calling thread's
-// allocations, so it holds no other tests.
+// group, an inverse transform's scale group) allocates nothing. One layer
+// up, a warm Dispatcher call builds its port lists and walks the
+// stage-group schedule on the stack too, so a warm vmul and a warm
+// polyMul allocate nothing either. This binary replaces the global
+// operator new to count the calling thread's allocations, so it holds no
+// other tests.
 //
 //===----------------------------------------------------------------------===//
 
 #include "field/PrimeGen.h"
 #include "runtime/Backend.h"
+#include "runtime/Dispatcher.h"
 #include "runtime/KernelRegistry.h"
 #include "runtime/NttPipeline.h"
 
@@ -159,4 +163,34 @@ TEST(StageGroupAlloc, WideElementsRoundTripThroughHeapBlock) {
       EB.runStageGroup(*E.P, E.Inv, E.T.InvTw.data(), E.Aux, N, 1, &Err))
       << Err;
   EXPECT_EQ(Data, Orig);
+}
+
+TEST(StageGroupAlloc, WarmDispatcherCallsAllocateNothing) {
+  // The serving shape: a 64-bit modulus, one-element vmul and a
+  // negacyclic n=256 polyMul (three transforms and one vmul) on the
+  // serial backend at the default fusion depth.
+  KernelRegistry Reg;
+  Dispatcher D(Reg);
+  const Bignum Q = field::nttPrime(60, 16);
+  const size_t N = 256;
+  const rewrite::NttRing Neg = rewrite::NttRing::Negacyclic;
+  std::vector<std::uint64_t> A = rampWords(Q, N), B = rampWords(Q, N),
+                             C(N);
+
+  // Warm-up binds the plans, builds the twiddle tables and grows the
+  // leased scratch.
+  ASSERT_TRUE(D.vmul(Q, A.data(), B.data(), C.data(), 1)) << D.error();
+  ASSERT_TRUE(D.polyMul(Q, A.data(), B.data(), C.data(), N, 1, Neg))
+      << D.error();
+  const std::vector<std::uint64_t> Want = C;
+
+  const std::uint64_t Before = Allocations;
+  const bool VmulOk = D.vmul(Q, A.data(), B.data(), C.data(), 1);
+  const std::uint64_t AfterVmul = Allocations;
+  const bool PolyOk = D.polyMul(Q, A.data(), B.data(), C.data(), N, 1, Neg);
+  const std::uint64_t AfterPoly = Allocations;
+  ASSERT_TRUE(VmulOk && PolyOk) << D.error();
+  EXPECT_EQ(AfterVmul - Before, 0u) << "warm vmul at n=1 allocated";
+  EXPECT_EQ(AfterPoly - AfterVmul, 0u) << "warm negacyclic polyMul allocated";
+  EXPECT_EQ(C, Want);
 }
