@@ -206,6 +206,17 @@ inline void verdict(const std::string &Label, double MeasuredFactor,
           SameWinner ? "SHAPE OK" : "SHAPE DIVERGES");
 }
 
+/// Reports one floor-verdict line: the measured factor must reach Floor.
+/// "FLOOR OK" at or above it, "FLOOR MISSED" below — unlike verdict(),
+/// which only compares winners and so reads "SHAPE OK" for any factor on
+/// the paper's side of 1.0.
+inline void floorVerdict(const std::string &Label, double MeasuredFactor,
+                         double Floor) {
+  reportf("  %-58s measured %7.2fx   floor %7.2fx   %s\n", Label.c_str(),
+          MeasuredFactor, Floor,
+          MeasuredFactor >= Floor ? "FLOOR OK" : "FLOOR MISSED");
+}
+
 /// Reports a section banner. Flushes the previous section first: sections
 /// stay contiguous (and under the pipe-atomicity bound), and a bench that
 /// aborts mid-run — assertion, sanitizer — has lost at most the section

@@ -523,8 +523,8 @@ int main(int argc, char **argv) {
             TunedAgrees ? 1.0 : 0.0, 1.0);
     verdict("tune cache round-trips with backend fields",
             Reloaded ? 1.0 : 0.0, 1.0);
-    verdict("wide-batch vmul: vector beats serial by >= 1.5x",
-            VectorSpeedup, 1.5);
+    floorVerdict("wide-batch vmul: vector beats serial by >= 1.5x",
+                 VectorSpeedup, 1.5);
     verdict("cold autotuner picks vector for >= 1 wide BLAS shape",
             PickedVector ? 1.0 : 0.0, 1.0);
     flushReport();
@@ -547,9 +547,9 @@ int main(int argc, char **argv) {
           VectorAgrees ? 1.0 : 0.0, 1.0);
   verdict(formatv("%zu-poly batch: sim-GPU backend beats serial", Batch),
           SerialSec / SimGpuSec, 1.0);
-  verdict(formatv("%zu-elem vmul: vector beats serial by >= 1.5x",
-                  VecElems),
-          VectorSpeedup, 1.5);
+  floorVerdict(formatv("%zu-elem vmul: vector beats serial by >= 1.5x",
+                       VecElems),
+               VectorSpeedup, 1.5);
   verdict("autotuner picks an accelerated backend from a cold cache",
           PickedAccel ? 1.0 : 0.0, 1.0);
   verdict("cold autotuner picks vector for >= 1 wide BLAS shape",

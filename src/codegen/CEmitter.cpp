@@ -5,7 +5,10 @@
 #include "support/Error.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cassert>
+#include <set>
+#include <tuple>
 
 using namespace moma;
 using namespace moma::ir;
@@ -44,7 +47,8 @@ const char *dwordType(unsigned WordBits) {
 /// _addcarry_u64/_subborrow_u64, spelled directly so no intrinsics header
 /// is parsed), the overflow builtins elsewhere. Each macro declares both
 /// results, so a statement stays a definition like every other one.
-/// (Emitted-source tests reject the substring "for"; keep it out.)
+/// (Emitted-source tests reject the substring "for" in kernels without
+/// wide products; keep it out. The wide-product helpers below loop.)
 const char *const CarryPrelude =
     "// Carry chains: MOMA_ADDC(c, s, a, b, cin) declares the 64-bit sum\n"
     "// s = a + b + cin and its carry c; MOMA_SUBB(c, d, a, b, bin) declares\n"
@@ -69,6 +73,107 @@ const char *const CarryPrelude =
     "c |= __builtin_sub_overflow(d, (uint64_t)(bin), &d)\n"
     "#endif\n\n";
 
+/// Selects the x86-64 multiply rows of the wide-product helpers: BMI2
+/// (mulx) and ADX (adcx/adox), checked at run time because the JIT'd
+/// module may meet a CPU without them.
+const char *const WideMulPrelude =
+    "// Wide products: moma_wmul_<NA>x<NB>_<R>(r, a, b) stores the low R\n"
+    "// words of a*b (word arrays, least significant first). Each row is\n"
+    "// mulx with two carry chains (adcx/adox) on x86-64 CPUs with BMI2\n"
+    "// and ADX, a portable unsigned __int128 row elsewhere.\n"
+    "#if defined(__x86_64__) && defined(__GNUC__)\n"
+    "#define MOMA_MULX_ROWS (__builtin_cpu_supports(\"bmi2\") && "
+    "__builtin_cpu_supports(\"adx\"))\n"
+    "#endif\n\n";
+
+/// One helper shape: NA x NB words in, the low R product words out.
+struct WideMulShape {
+  unsigned NA, NB, R;
+  bool operator<(const WideMulShape &O) const {
+    return std::tie(NA, NB, R) < std::tie(O.NA, O.NB, O.R);
+  }
+};
+
+std::string wideMulHelperName(const WideMulShape &Sh) {
+  return formatv("moma_wmul_%ux%u_%u", Sh.NA, Sh.NB, Sh.R);
+}
+
+/// The inline-asm instructions adding a[0..K) * rdx into r[0..K) (%3 = r,
+/// %4 = a) and, with \p CarryOut, storing the row's top word to r[K].
+/// adcx carries the low product halves plus r, adox the previous column's
+/// high half; %0 is the sum, %1/%2 alternate as the high half.
+std::vector<std::string> mulxRow(unsigned K, bool CarryOut) {
+  std::vector<std::string> Ins = {"xorl %k0, %k0"}; // clears CF and OF
+  for (unsigned I = 0; I < K; ++I) {
+    const char *Hi = I % 2 ? "%2" : "%1", *Prev = I % 2 ? "%1" : "%2";
+    Ins.push_back(formatv("mulxq %u(%%4), %%0, %s", 8 * I, Hi));
+    Ins.push_back(formatv("adcxq %u(%%3), %%0", 8 * I));
+    if (I > 0)
+      Ins.push_back(formatv("adoxq %s, %%0", Prev));
+    Ins.push_back(formatv("movq %%0, %u(%%3)", 8 * I));
+  }
+  if (CarryOut) {
+    // mov leaves both flags intact; the top word cannot overflow.
+    const char *Hi = (K - 1) % 2 ? "%2" : "%1";
+    Ins.push_back("movl $0, %k0");
+    Ins.push_back(formatv("adcxq %%0, %s", Hi));
+    Ins.push_back(formatv("adoxq %%0, %s", Hi));
+    Ins.push_back(formatv("movq %s, %u(%%3)", Hi, 8 * K));
+  }
+  return Ins;
+}
+
+/// Defines the helper for \p Sh. Row j multiplies min(NA, R - j) words of
+/// a by b[j] into r[j..] and stores its carry word r[j + NA] when that is
+/// below R; consecutive rows of one shape share a loop. \p Device (CUDA)
+/// prints only the portable row.
+std::string wideMulHelper(const WideMulShape &Sh, bool Device) {
+  unsigned Rows = std::min(Sh.NB, Sh.R);
+  auto RowWords = [&](unsigned J) { return std::min(Sh.NA, Sh.R - J); };
+  auto RowCarries = [&](unsigned J) { return J + Sh.NA < Sh.R; };
+  std::string Src = formatv(
+      "%sstatic void %s(uint64_t *r, const uint64_t *a, const uint64_t *b) "
+      "{\n  for (int i = 0; i < %u; ++i)\n    r[i] = 0;\n",
+      Device ? "__device__ " : "", wideMulHelperName(Sh).c_str(),
+      std::min(Sh.NA, Sh.R));
+  if (!Device) {
+    Src += "#ifdef MOMA_MULX_ROWS\n  if (MOMA_MULX_ROWS) {\n"
+           "    uint64_t s, h0, h1;\n";
+    for (unsigned J = 0; J < Rows;) {
+      unsigned End = J + 1;
+      while (End < Rows && RowWords(End) == RowWords(J) &&
+             RowCarries(End) == RowCarries(J))
+        ++End;
+      std::string Idx = End - J > 1 ? "j" : std::to_string(J);
+      if (End - J > 1)
+        Src += formatv("    for (int j = %u; j < %u; ++j)\n", J, End);
+      Src += "    __asm__ __volatile__(";
+      for (const std::string &I : mulxRow(RowWords(J), RowCarries(J)))
+        Src += "\n        \"" + I + "\\n\\t\"";
+      Src += "\n        : \"=&r\"(s), \"=&r\"(h0), \"=&r\"(h1)"
+             "\n        : \"r\"(r + " + Idx + "), \"r\"(a), \"d\"(b[" + Idx +
+             "])\n        : \"cc\", \"memory\");\n";
+      J = End;
+    }
+    Src += "    return;\n  }\n#endif\n";
+  }
+  Src += formatv(
+      "  for (int j = 0; j < %u; ++j) {\n"
+      "    uint64_t c = 0;\n"
+      "    int k = %u - j < %u ? %u - j : %u;\n"
+      "    for (int i = 0; i < k; ++i) {\n"
+      "      unsigned __int128 t = (unsigned __int128)a[i] * b[j] + r[i + j] "
+      "+ c;\n"
+      "      r[i + j] = (uint64_t)t;\n"
+      "      c = (uint64_t)(t >> 64);\n"
+      "    }\n"
+      "    if (j + %u < %u)\n"
+      "      r[j + %u] = c;\n"
+      "  }\n}\n\n",
+      Rows, Sh.R, Sh.NA, Sh.R, Sh.NA, Sh.NA, Sh.R, Sh.NA);
+  return Src;
+}
+
 /// Per-statement C emission shared by the C, CUDA, grid and vector
 /// emitters. \p CarryMacros routes full-word 64-bit Add/Sub through
 /// CarryPrelude's macros (emitC only); otherwise carries go through the
@@ -81,6 +186,11 @@ public:
         DT(dwordType(WordBits)), CarryMacros(CarryMacros) {}
 
   std::string run();
+
+  /// The wide-product prelude and one helper per WideMul shape the body
+  /// calls (valid after run(); empty when there is none). \p Device
+  /// prints the CUDA form.
+  std::string helpers(bool Device) const;
 
 private:
   std::string ref(ValueId Id) const { return formatv("v%d", Id); }
@@ -111,6 +221,7 @@ private:
   bool CarryMacros;
   std::string Out;
   unsigned TempCount = 0;
+  std::set<WideMulShape> WideShapes;
 };
 
 } // namespace
@@ -260,6 +371,31 @@ void BodyEmitter::emitStmt(const Stmt &S) {
         formatv("((%s)%s << %u) | %s", WT, Op(0).c_str(), H, Op(1).c_str()));
     return;
   }
+  case OpKind::WideMul: {
+    // Word arrays, least significant first, into the shape's helper.
+    if (WB != 64)
+      fatalError("emitC: wide products need 64-bit words");
+    WideMulShape Sh{S.Amount,
+                    static_cast<unsigned>(S.Operands.size()) - S.Amount,
+                    static_cast<unsigned>(S.Results.size())};
+    WideShapes.insert(Sh);
+    std::string T = freshTemp();
+    auto Array = [&](const char *Suffix, size_t Begin, size_t End) {
+      std::string Words;
+      for (size_t I = End; I-- > Begin;)
+        Words += (Words.empty() ? "" : ", ") + ref(S.Operands[I]);
+      line(formatv("const %s %s%s[%zu] = {%s};", WT, T.c_str(), Suffix,
+                   End - Begin, Words.c_str()));
+    };
+    Array("a", 0, Sh.NA);
+    Array("b", Sh.NA, S.Operands.size());
+    line(formatv("%s %sr[%u];", WT, T.c_str(), Sh.R));
+    line(formatv("%s(%sr, %sa, %sb);", wideMulHelperName(Sh).c_str(),
+                 T.c_str(), T.c_str(), T.c_str()));
+    for (unsigned I = 0; I < Sh.R; ++I)
+      def(S.Results[Sh.R - 1 - I], formatv("%sr[%u]", T.c_str(), I));
+    return;
+  }
   }
   moma_unreachable("unhandled opcode in C emission");
 }
@@ -270,16 +406,21 @@ std::string BodyEmitter::run() {
   return std::move(Out);
 }
 
-std::string moma::codegen::emitScalarBody(const Kernel &K, unsigned WordBits,
-                                          const std::string &Indent) {
-  return BodyEmitter(K, WordBits, Indent).run();
+std::string BodyEmitter::helpers(bool Device) const {
+  if (WideShapes.empty())
+    return "";
+  std::string Src = Device ? "" : WideMulPrelude;
+  for (const WideMulShape &Sh : WideShapes)
+    Src += wideMulHelper(Sh, Device);
+  return Src;
 }
 
 std::string moma::codegen::emitScalarFunction(const LoweredKernel &L,
                                               unsigned WordBits,
                                               const std::string &FnName,
                                               const std::string &Qualifiers,
-                                              const std::string &WordType) {
+                                              const std::string &WordType,
+                                              bool Device) {
   std::string Params;
   for (const LoweredPort &P : L.Outputs) {
     unsigned Stored = P.storedWords();
@@ -301,9 +442,12 @@ std::string moma::codegen::emitScalarFunction(const LoweredKernel &L,
     }
   }
 
-  std::string Src = formatv("%s void %s(%s) {\n", Qualifiers.c_str(),
-                            FnName.c_str(), Params.c_str());
-  Src += emitScalarBody(L.K, WordBits, "  ");
+  BodyEmitter Body(L.K, WordBits, "  ");
+  std::string Stmts = Body.run();
+  std::string Src = Body.helpers(Device);
+  Src += formatv("%s void %s(%s) {\n", Qualifiers.c_str(), FnName.c_str(),
+                 Params.c_str());
+  Src += Stmts;
   for (const LoweredPort &P : L.Outputs) {
     unsigned Stored = P.storedWords();
     unsigned Skip = static_cast<unsigned>(P.Words.size()) - Stored;
@@ -354,6 +498,9 @@ EmittedKernel moma::codegen::emitC(const LoweredKernel &L,
   bool CarryMacros = Opts.WordBits == 64;
   if (CarryMacros)
     Src += CarryPrelude;
+  BodyEmitter Body(K, Opts.WordBits, "  ", CarryMacros);
+  std::string Stmts = Body.run();
+  Src += Body.helpers(/*Device=*/false);
 
   // Signature: outputs first, then inputs (paper listing order).
   std::string Sig;
@@ -392,7 +539,7 @@ EmittedKernel moma::codegen::emitC(const LoweredKernel &L,
   }
   Src += "\n";
 
-  Src += BodyEmitter(K, Opts.WordBits, "  ", CarryMacros).run();
+  Src += Stmts;
 
   // Stores: only the stored words (top pruned words are provably zero).
   Src += "\n";

@@ -14,9 +14,11 @@
 ///
 /// At 64-bit words emitC spells each full-word Add/Sub as one carry-flag
 /// macro call (MOMA_ADDC/MOMA_SUBB, defined at the top of the source), so
-/// the double word holds only products there; emitScalarBody and
-/// emitScalarFunction (CUDA, grid and vector emitters) keep double-word
-/// carries.
+/// the double word holds only products there; emitScalarFunction (CUDA,
+/// grid and vector emitters) keeps double-word carries. Every emitter
+/// prints an ir::OpKind::WideMul as a call to a static helper defined
+/// once per module and shape (mulx/adcx/adox rows on x86-64 with BMI2 and
+/// ADX, portable unsigned __int128 rows otherwise and on CUDA).
 ///
 /// The emitted function takes one pointer per kernel port; each port array
 /// holds the value's stored words, most significant first (the paper's
@@ -69,22 +71,20 @@ struct EmittedKernel {
 EmittedKernel emitC(const rewrite::LoweredKernel &L,
                     const CEmitOptions &Opts = {});
 
-/// Emits only the function body statements, carries through the double
-/// word (shared by the CUDA, grid and vector emitters).
-std::string emitScalarBody(const ir::Kernel &K, unsigned WordBits,
-                           const std::string &Indent);
-
 /// Emits a self-contained scalar helper function for \p L: outputs as
 /// word pointers named "<port><index>", non-pruned input words as
-/// by-value parameters named after their value ids, body from
-/// emitScalarBody. Shared by the CUDA emitter (qualifiers "__device__
-/// static __forceinline__") and the grid-shaped C emitter ("static
-/// inline"); \p WordType spells the word type ("u64" under the emitters'
-/// typedef).
+/// by-value parameters named after their value ids, and the body with
+/// carries through the double word. Shared by the CUDA emitter
+/// (qualifiers "__device__ static __forceinline__", \p Device set) and
+/// the grid and vector C emitters ("static inline"); \p WordType spells
+/// the word type ("u64" under the emitters' typedef). The kernel's
+/// wide-product helpers (one per WideMul shape, portable rows only when
+/// \p Device) precede the function, so call this once per source.
 std::string emitScalarFunction(const rewrite::LoweredKernel &L,
                                unsigned WordBits, const std::string &FnName,
                                const std::string &Qualifiers,
-                               const std::string &WordType);
+                               const std::string &WordType,
+                               bool Device = false);
 
 /// Comma-separated scalar-call arguments loading \p P's non-pruned words
 /// from \p BaseExpr (an expression for the pointer to the port's first

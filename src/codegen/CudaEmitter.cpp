@@ -33,7 +33,8 @@ std::string emitDeviceScalar(const LoweredKernel &L,
                              const CudaEmitOptions &Opts,
                              const std::string &FnName) {
   return emitScalarFunction(L, Opts.WordBits, FnName,
-                            "__device__ static __forceinline__", "u64");
+                            "__device__ static __forceinline__", "u64",
+                            /*Device=*/true);
 }
 
 const LoweredPort *findPort(const std::vector<LoweredPort> &Ports,

@@ -83,6 +83,27 @@ ValueId Builder::mulLow(ValueId A, ValueId B) {
   return R;
 }
 
+std::vector<ValueId> Builder::wideMul(const std::vector<ValueId> &A,
+                                      const std::vector<ValueId> &B,
+                                      unsigned R) {
+  assert(!A.empty() && !B.empty() && R >= 1 && R <= A.size() + B.size() &&
+         "widemul shape");
+  unsigned W = bitsOf(A[0]);
+  std::vector<ValueId> Ops = A;
+  Ops.insert(Ops.end(), B.begin(), B.end());
+  for ([[maybe_unused]] ValueId Op : Ops)
+    assert(bitsOf(Op) == W && "widemul words must share one width");
+  unsigned ProductBits = K.wideMulProductBits(
+      Ops.data(), static_cast<unsigned>(Ops.size()),
+      static_cast<unsigned>(A.size()));
+  std::vector<ValueId> Results(R);
+  for (unsigned I = 0; I < R; ++I)
+    Results[R - 1 - I] = K.newValue(W, "", wideMulWordKnown(ProductBits, W, I));
+  Stmt &S = emit(OpKind::WideMul, Results, std::move(Ops));
+  S.Amount = static_cast<unsigned>(A.size());
+  return Results;
+}
+
 ValueId Builder::addMod(ValueId A, ValueId B, ValueId Q) {
   unsigned W = bitsOf(A);
   assert(bitsOf(B) == W && bitsOf(Q) == W && "addmod width mismatch");

@@ -54,6 +54,10 @@ public:
   /// (hi:w, lo:w) = A * B.
   HiLoResult mul(ValueId A, ValueId B);
   ValueId mulLow(ValueId A, ValueId B);
+  /// r[R] = (A * B) mod 2^(R*w) over word arrays of one width w, most
+  /// significant first; returns the R result words in the same order.
+  std::vector<ValueId> wideMul(const std::vector<ValueId> &A,
+                               const std::vector<ValueId> &B, unsigned R);
 
   ValueId addMod(ValueId A, ValueId B, ValueId Q);
   ValueId subMod(ValueId A, ValueId B, ValueId Q);

@@ -164,6 +164,20 @@ void Evaluator::run(const Stmt &S) {
     define(S.Results[0], (get(S.Operands[0]) << H) + get(S.Operands[1]));
     return;
   }
+  case OpKind::WideMul: {
+    unsigned W = Width(S.Results[0]);
+    auto Array = [&](size_t Begin, size_t End) {
+      Bignum V(0);
+      for (size_t I = Begin; I < End; ++I)
+        V = (V << W) + get(S.Operands[I]);
+      return V;
+    };
+    Bignum P = Array(0, S.Amount) * Array(S.Amount, S.Operands.size());
+    size_t R = S.Results.size();
+    for (size_t I = 0; I < R; ++I)
+      define(S.Results[R - 1 - I], (P >> unsigned(I * W)).truncate(W));
+    return;
+  }
   }
   moma_unreachable("unknown opcode in interpreter");
 }

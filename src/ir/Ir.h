@@ -19,6 +19,7 @@
 ///   Add: (carry:1, sum:w)   = a + b [+ cin]        — rules (22)(23)(29)
 ///   Sub: (borrow:1, diff:w) = a - b [- bin]         — rule (25)
 ///   Mul: (hi:w, lo:w)       = a * b                 — rule (28)
+///   WideMul: r[R] = (a[NA] * b[NB]) mod 2^(R*w)     — word-array product
 /// and the modular macro-ops AddMod/SubMod/MulMod that the rewrite system
 /// expands (rules (24) and the Barrett sequence of Listing 4).
 ///
@@ -63,17 +64,33 @@ enum class OpKind : std::uint8_t {
   Select, ///< c:w = cond ? a : b, cond 1-bit
   Split,  ///< (hi:w/2, lo:w/2) = a:w — rules (19)(20)(21)
   Concat, ///< c:2w = hi * 2^w + lo
+  /// r[R] = (a[NA] * b[NB]) mod 2^(R*w) over word arrays, most significant
+  /// first. Operands are a's NA words then b's NB words (Amount = NA);
+  /// all operands and results share one width w. Full form R = NA + NB,
+  /// low form R < NA + NB. The lowering emits it for products of at least
+  /// rewrite::WideMulMinWords words instead of splitting them further.
+  WideMul,
 };
 
 /// Human-readable opcode mnemonic.
 const char *opKindName(OpKind K);
+
+/// Word multiplies a WideMul of shape (NA, NB, R) performs: the word pairs
+/// (i, j), least significant first, with i + j < R. NA * NB for the full
+/// form, N(N+1)/2 for the N-word low form.
+unsigned wideMulWordProducts(unsigned NA, unsigned NB, unsigned R);
+
+/// KnownBits of WideMul result word \p I (least significant = 0) when the
+/// product has at most \p ProductBits significant bits and words are \p W
+/// bits wide; 1 for a word the product cannot reach.
+unsigned wideMulWordKnown(unsigned ProductBits, unsigned W, unsigned I);
 
 /// One straight-line statement. Pure (no side effects); multi-result.
 struct Stmt {
   OpKind Kind;
   std::vector<ValueId> Results;
   std::vector<ValueId> Operands;
-  /// Shift amount for Shl/Shr.
+  /// Shift amount for Shl/Shr; a's word count NA for WideMul.
   unsigned Amount = 0;
   /// Modulus bit-width m for MulMod (Barrett shifts use m-2 and m+5).
   unsigned ModBits = 0;
@@ -130,6 +147,12 @@ public:
 
   /// Total number of statements.
   size_t size() const { return Body.size(); }
+
+  /// Significant-bit bound of the product of a WideMul's operand arrays
+  /// (\p NumOps words, the first \p NA of them a's, most significant
+  /// first): per array, its top word's KnownBits plus the words below.
+  unsigned wideMulProductBits(const ValueId *Ops, unsigned NumOps,
+                              unsigned NA) const;
 
 private:
   std::vector<ValueInfo> Values;

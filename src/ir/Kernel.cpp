@@ -4,6 +4,7 @@
 
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace moma;
@@ -53,8 +54,33 @@ const char *moma::ir::opKindName(OpKind K) {
     return "split";
   case OpKind::Concat:
     return "concat";
+  case OpKind::WideMul:
+    return "widemul";
   }
   moma_unreachable("unknown opcode");
+}
+
+unsigned moma::ir::wideMulWordProducts(unsigned NA, unsigned NB, unsigned R) {
+  unsigned N = 0;
+  for (unsigned J = 0; J < NB && J < R; ++J)
+    N += std::min(NA, R - J);
+  return N;
+}
+
+unsigned Kernel::wideMulProductBits(const ValueId *Ops, unsigned NumOps,
+                                    unsigned NA) const {
+  assert(NA > 0 && NA < NumOps && "widemul needs two non-empty arrays");
+  auto Bits = [&](const ValueId *Words, unsigned N) {
+    return (N - 1) * value(Words[0]).Bits + value(Words[0]).KnownBits;
+  };
+  return Bits(Ops, NA) + Bits(Ops + NA, NumOps - NA);
+}
+
+unsigned moma::ir::wideMulWordKnown(unsigned ProductBits, unsigned W,
+                                    unsigned I) {
+  if (ProductBits <= I * W)
+    return 1;
+  return std::min(W, ProductBits - I * W);
 }
 
 ValueId Kernel::newValue(unsigned Bits, const std::string &Name,

@@ -33,6 +33,8 @@ std::string moma::ir::printStmt(const Kernel &K, const Stmt &S) {
     Line += formatv(", %u", S.Amount);
   if (S.Kind == OpKind::MulMod)
     Line += formatv(" (m=%u)", S.ModBits);
+  if (S.Kind == OpKind::WideMul)
+    Line += formatv(" (a=%u)", S.Amount);
   return Line;
 }
 

@@ -230,6 +230,29 @@ void VerifierImpl::checkStmt(const Stmt &S) {
       error(S, "concat width mismatch");
     return;
   }
+  case OpKind::WideMul: {
+    size_t NumOps = S.Operands.size();
+    if (S.Amount == 0 || S.Amount >= NumOps) {
+      error(S, "widemul needs at least one word in each operand array");
+      return;
+    }
+    if (S.Results.empty() || S.Results.size() > NumOps) {
+      error(S, "widemul result count must be in [1, NA + NB]");
+      return;
+    }
+    unsigned W = width(S.Results[0]);
+    for (ValueId Id : S.Operands)
+      if (width(Id) != W) {
+        error(S, "widemul operand width mismatch");
+        return;
+      }
+    for (ValueId Id : S.Results)
+      if (width(Id) != W) {
+        error(S, "widemul result width mismatch");
+        return;
+      }
+    return;
+  }
   }
   error(S, "unknown opcode");
 }

@@ -63,6 +63,11 @@ private:
 
   bool isCur(ValueId OldId) const { return Old.value(OldId).Bits == CurW; }
 
+  /// Significant bits of the wider operand of a Mul/MulLow.
+  unsigned operandBits(const Stmt &S) const {
+    return std::max(boundOf(S.Operands[0]), boundOf(S.Operands[1]));
+  }
+
   void lowerInput(const Param &P);
   void lowerStmt(const Stmt &S);
 
@@ -160,14 +165,35 @@ private:
     return Quad{P0.Lo, R1.Value, R2.Value, R3.Value};
   }
 
-  Quad mulFull(Half A, Half B) {
+  /// Whether a CurW-bit product whose wider operand has at most \p Bits
+  /// significant bits becomes one WideMul (see WideMulMinWords).
+  bool isWideProduct(unsigned Bits) const {
+    return Opts.TargetWordBits == 64 &&
+           (Bits + 63) / 64 >= WideMulMinWords;
+  }
+
+  /// Quad = A * B, or its low pair, as one WideMul on the halves.
+  std::vector<ValueId> wideMulPairs(Half A, Half B, unsigned ResultHalves) {
+    return Bld.wideMul({A.Hi, A.Lo}, {B.Hi, B.Lo}, ResultHalves);
+  }
+
+  /// Quad = A * B; \p Bits bounds the wider operand's significant bits.
+  Quad mulFull(Half A, Half B, unsigned Bits) {
+    if (isWideProduct(Bits)) {
+      std::vector<ValueId> R = wideMulPairs(A, B, 4);
+      return Quad{R[3], R[2], R[1], R[0]};
+    }
     return Opts.MulAlg == mw::MulAlgorithm::Karatsuba
                ? mulFullKaratsuba(A, B)
                : mulFullSchoolbook(A, B);
   }
 
   /// Low half of the product: [hi, lo] = (A * B) mod 2^CurW.
-  Half mulLowPair(Half A, Half B) {
+  Half mulLowPair(Half A, Half B, unsigned Bits) {
+    if (isWideProduct(Bits)) {
+      std::vector<ValueId> R = wideMulPairs(A, B, 2);
+      return Half{R[0], R[1]};
+    }
     HiLoResult P0 = Bld.mul(A.Lo, B.Lo);
     ValueId FL = Bld.mulLow(A.Hi, B.Lo);
     ValueId GL = Bld.mulLow(A.Lo, B.Hi);
@@ -342,15 +368,35 @@ void LevelLowering::lowerStmt(const Stmt &S) {
     return;
   }
   case OpKind::Mul: {
-    Quad Q = mulFull(mapPair(S.Operands[0]), mapPair(S.Operands[1]));
+    Quad Q = mulFull(mapPair(S.Operands[0]), mapPair(S.Operands[1]),
+                     operandBits(S));
     bindPair(S.Results[0], Half{Q[3], Q[2]});
     bindPair(S.Results[1], Half{Q[1], Q[0]});
     return;
   }
   case OpKind::MulLow:
     bindPair(S.Results[0],
-             mulLowPair(mapPair(S.Operands[0]), mapPair(S.Operands[1])));
+             mulLowPair(mapPair(S.Operands[0]), mapPair(S.Operands[1]),
+                        operandBits(S)));
     return;
+  case OpKind::WideMul: {
+    // Rule (19) on every word of the arrays: the product is unchanged,
+    // each CurW word becomes its [hi, lo] pair.
+    std::vector<ValueId> Ops;
+    for (ValueId Id : S.Operands) {
+      Half P = mapPair(Id);
+      Ops.push_back(P.Hi);
+      Ops.push_back(P.Lo);
+    }
+    unsigned NA = 2 * S.Amount;
+    std::vector<ValueId> R = Bld.wideMul(
+        std::vector<ValueId>(Ops.begin(), Ops.begin() + NA),
+        std::vector<ValueId>(Ops.begin() + NA, Ops.end()),
+        2 * static_cast<unsigned>(S.Results.size()));
+    for (size_t I = 0; I < S.Results.size(); ++I)
+      bindPair(S.Results[I], Half{R[2 * I], R[2 * I + 1]});
+    return;
+  }
   case OpKind::AddMod: {
     // Rules (22) + (24): full-width sum with top carry D0, then compare
     // against q and conditionally subtract. We subtract when the sum >= q,
@@ -387,11 +433,12 @@ void LevelLowering::lowerStmt(const Stmt &S) {
     Half Mu = mapPair(S.Operands[3]);
     unsigned M = S.ModBits;
 
-    Quad T = mulFull(A, BB);                   // t = a*b
+    // mu < 2^(m+4) is the widest operand of the three products.
+    Quad T = mulFull(A, BB, M + 4);            // t = a*b
     Half R1 = shrQuadToPair(T, M - 2);         // r1 = t >> (m-2)
-    Quad U = mulFull(R1, Mu);                  // r2 = r1 * mu
+    Quad U = mulFull(R1, Mu, M + 4);           // r2 = r1 * mu
     Half E = shrQuadToPair(U, M + 5);          // e = r2 >> (m+5)
-    Half P = mulLowPair(E, Q);                 // p = (e * q) mod 2^(2H)
+    Half P = mulLowPair(E, Q, M + 4);          // p = (e * q) mod 2^(2H)
     Half TLow{T[1], T[0]};
     auto [Borrow, C] = subPair(TLow, P);       // c = t - e*q (fits a pair)
     (void)Borrow;                              // provably zero: e <= t/q

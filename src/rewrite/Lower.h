@@ -16,7 +16,9 @@
 ///
 ///   Add     -> rules (22)(23): two half adds chained through the carry
 ///   Sub     -> rule (25): two half subs chained through the borrow
-///   Mul     -> rule (28)+(29) schoolbook, or Eq. (9) Karatsuba
+///   Mul     -> rule (28)+(29) schoolbook, or Eq. (9) Karatsuba; at
+///              WideMulMinWords words and up, one WideMul word-array
+///              product that later rounds only split further
 ///   AddMod  -> rules (22)(24)(25)(26): add, compare, subtract, select
 ///   SubMod  -> rule (25) + conditional add-back (Listing 2 _dsubmod)
 ///   MulMod  -> the Barrett sequence of Listing 4: full multiply, quad
@@ -46,6 +48,19 @@
 
 namespace moma {
 namespace rewrite {
+
+/// Products whose wider operand spans at least this many significant
+/// 64-bit words stop splitting: the round emits one ir::OpKind::WideMul
+/// (full form for Mul, low form for MulLow and Barrett's e*q, the same
+/// for Montgomery's REDC products), which the C-family emitters print as
+/// a call to a per-module multiply-row helper. Below it the paper's
+/// straight-line word code stays, with its zero-word pruning. Karatsuba
+/// plans take the same cut: above the threshold the helper's schoolbook
+/// rows replace Eq. (9). Only 64-bit lowerings are affected; the
+/// 16/32-bit deep-recursion targets keep straight-line code. The value
+/// comes from a compile-time and ns/elem measurement at 8, 12 and 16
+/// words (CHANGES.md, DESIGN.md "Carry-chain emission").
+inline constexpr unsigned WideMulMinWords = 12;
 
 /// Lowering configuration.
 struct LowerOptions {

@@ -241,6 +241,21 @@ Stmt &KernelRebuilder::emitDefault(const Stmt &S,
     bind(S.Results[1], Lo);
     return NS;
   }
+  case OpKind::WideMul: {
+    unsigned W = ResultBits(0), NA = S.Amount;
+    unsigned N = static_cast<unsigned>(Ops.size());
+    unsigned R = static_cast<unsigned>(S.Results.size());
+    unsigned ProductBits = NK.wideMulProductBits(Ops.data(), N, NA);
+    std::vector<ValueId> Rs(R);
+    for (unsigned I = 0; I < R; ++I)
+      Rs[R - 1 - I] = newResult(
+          W, Clamp(R - 1 - I, wideMulWordKnown(ProductBits, W, I)));
+    Stmt &NS = emit(OpKind::WideMul, Rs, Ops);
+    NS.Amount = NA;
+    for (unsigned I = 0; I < R; ++I)
+      bind(S.Results[I], Rs[I]);
+    return NS;
+  }
   case OpKind::Concat: {
     unsigned HalfW = widthOf(Ops[1]);
     ValueId R = newResult(ResultBits(0),

@@ -96,7 +96,7 @@ struct PassStats {
   unsigned Changes = 0; ///< total rewrites reported
   unsigned Removed = 0; ///< total statements / port words removed
   int StmtDelta = 0;    ///< net body-size change attributed to the pass
-  int MulDelta = 0;     ///< net Mul+MulLow change
+  int MulDelta = 0;     ///< net word-multiply change (OpStats::multiplies)
   int AddSubDelta = 0;  ///< net Add+Sub change
 };
 

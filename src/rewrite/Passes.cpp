@@ -19,6 +19,31 @@ using namespace moma::ir;
 using namespace moma::rewrite;
 using mw::Bignum;
 
+/// Re-emits WideMul \p S with only the low \p R result words of the
+/// product of \p A and \p B (new ids, most significant first) and binds
+/// the dropped top results to constant zero: the shrink shared by the
+/// zero-word and KnownBits rules.
+static void emitNarrowedWideMul(KernelRebuilder &RB, const Stmt &S,
+                                std::vector<ValueId> A,
+                                const std::vector<ValueId> &B, unsigned R) {
+  unsigned NA = static_cast<unsigned>(A.size());
+  unsigned Old = static_cast<unsigned>(S.Results.size());
+  unsigned W = RB.oldKernel().value(S.Results[0]).Bits;
+  A.insert(A.end(), B.begin(), B.end());
+  unsigned ProductBits = RB.newKernel().wideMulProductBits(
+      A.data(), static_cast<unsigned>(A.size()), NA);
+  std::vector<ValueId> Rs(R);
+  for (unsigned I = 0; I < R; ++I)
+    Rs[R - 1 - I] = RB.newResult(W, wideMulWordKnown(ProductBits, W, I));
+  RB.emit(OpKind::WideMul, Rs, std::move(A)).Amount = NA;
+  for (unsigned I = 0; I < Old; ++I) {
+    if (I < Old - R)
+      RB.bindConst(S.Results[I], Bignum(0));
+    else
+      RB.bind(S.Results[I], Rs[I - (Old - R)]);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // ConstFoldPass
 //===----------------------------------------------------------------------===//
@@ -143,6 +168,22 @@ bool ConstFoldPass::tryRewrite(KernelRebuilder &RB, const Stmt &S,
       return false;
     RB.bindConst(S.Results[0], (*CV[0] << RB.widthOf(Ops[1])) + *CV[1]);
     break;
+  case OpKind::WideMul: {
+    if (!AllConst)
+      return false;
+    unsigned W = ResultBits(0);
+    auto Array = [&](size_t Begin, size_t End) {
+      Bignum V(0);
+      for (size_t I = Begin; I < End; ++I)
+        V = (V << W) + *CV[I];
+      return V;
+    };
+    Bignum P = Array(0, S.Amount) * Array(S.Amount, Ops.size());
+    size_t R = S.Results.size();
+    for (size_t I = 0; I < R; ++I)
+      RB.bindConst(S.Results[R - 1 - I], (P >> unsigned(I * W)).truncate(W));
+    break;
+  }
   default:
     // Select-on-constant counts as an algebraic identity (it picks an
     // operand rather than computing a value); Copy is copyprop's.
@@ -246,6 +287,30 @@ bool AlgebraicIdentitiesPass::tryRewrite(KernelRebuilder &RB, const Stmt &S,
       break;
     }
     return false;
+  case OpKind::WideMul: {
+    // Leading zero words drop off each array, so the helper is
+    // specialised to the live word counts (the paper's pruning of
+    // statically-zero top words); an all-zero array zeroes the product.
+    unsigned NA = S.Amount, N = static_cast<unsigned>(Ops.size());
+    unsigned ZA = 0, ZB = 0;
+    while (ZA < NA && RB.isZero(Ops[ZA]))
+      ++ZA;
+    while (NA + ZB < N && RB.isZero(Ops[NA + ZB]))
+      ++ZB;
+    if (ZA == 0 && ZB == 0)
+      return false;
+    if (ZA == NA || NA + ZB == N) {
+      for (ValueId R : S.Results)
+        RB.bindConst(R, Bignum(0));
+      break;
+    }
+    std::vector<ValueId> A(Ops.begin() + ZA, Ops.begin() + NA);
+    std::vector<ValueId> B(Ops.begin() + NA + ZB, Ops.end());
+    unsigned R = std::min(static_cast<unsigned>(S.Results.size()),
+                          static_cast<unsigned>(A.size() + B.size()));
+    emitNarrowedWideMul(RB, S, std::move(A), B, R);
+    break;
+  }
   case OpKind::AddMod:
   case OpKind::SubMod:
     // x (+|-) 0 mod q == x for reduced x.
@@ -382,6 +447,22 @@ bool KnownBitsStrengthReducePass::tryRewrite(
       RB.bindConst(S.Results[0], Bignum(0));
     else
       RB.bind(S.Results[0], Lo); // never read; any valid id will do
+    ++RB.Changes;
+    return true;
+  }
+  case OpKind::WideMul: {
+    // Top result words the product's significant bits cannot reach.
+    unsigned W = ResultBits(0), NA = S.Amount;
+    unsigned N = static_cast<unsigned>(Ops.size());
+    unsigned R = static_cast<unsigned>(S.Results.size());
+    unsigned ProductBits = RB.newKernel().wideMulProductBits(Ops.data(), N, NA);
+    unsigned Reach = std::max(1u, (ProductBits + W - 1) / W);
+    if (Reach >= R)
+      return false;
+    emitNarrowedWideMul(RB, S,
+                        std::vector<ValueId>(Ops.begin(), Ops.begin() + NA),
+                        std::vector<ValueId>(Ops.begin() + NA, Ops.end()),
+                        Reach);
     ++RB.Changes;
     return true;
   }

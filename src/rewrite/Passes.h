@@ -35,7 +35,8 @@
 namespace moma {
 namespace rewrite {
 
-/// Folds statements whose operands are all constants (Bignum semantics).
+/// Folds statements whose operands are all constants (Bignum semantics),
+/// an all-constant WideMul included.
 class ConstFoldPass : public RebuildPass {
 public:
   const char *name() const override { return "constfold"; }
@@ -48,7 +49,8 @@ protected:
 };
 
 /// Algebraic identities: x+0, x-x, x*0, x*1, x&x, x^x, shifts by zero,
-/// select on a constant or equal arms, compares of a value with itself.
+/// select on a constant or equal arms, compares of a value with itself;
+/// a WideMul sheds the statically-zero top words of either array.
 class AlgebraicIdentitiesPass : public RebuildPass {
 public:
   const char *name() const override { return "algebraic"; }
@@ -62,7 +64,8 @@ protected:
 
 /// KnownBits strength reduction: carries that provably cannot fire become
 /// constant zero, multiplies whose product fits the low word drop the high
-/// half, right shifts past the significant bits fold to zero.
+/// half (a WideMul drops the top words its product cannot reach), right
+/// shifts past the significant bits fold to zero.
 class KnownBitsStrengthReducePass : public RebuildPass {
 public:
   const char *name() const override { return "knownbits"; }

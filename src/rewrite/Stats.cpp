@@ -12,7 +12,7 @@ using namespace moma::ir;
 using namespace moma::rewrite;
 
 unsigned OpStats::multiplies() const {
-  return count(OpKind::Mul) + count(OpKind::MulLow);
+  return count(OpKind::Mul) + count(OpKind::MulLow) + WideMulWords;
 }
 
 unsigned OpStats::addSubs() const {
@@ -35,6 +35,10 @@ OpStats moma::rewrite::countOps(const Kernel &K) {
   for (const Stmt &St : K.Body) {
     ++S.ByKind[St.Kind];
     ++S.Total;
+    if (St.Kind == OpKind::WideMul)
+      S.WideMulWords += wideMulWordProducts(
+          St.Amount, static_cast<unsigned>(St.Operands.size()) - St.Amount,
+          static_cast<unsigned>(St.Results.size()));
   }
   return S;
 }

@@ -28,13 +28,19 @@ namespace rewrite {
 struct OpStats {
   std::map<ir::OpKind, unsigned> ByKind;
   unsigned Total = 0;
+  /// Word multiplies inside WideMul statements (ir::wideMulWordProducts).
+  unsigned WideMulWords = 0;
 
   unsigned count(ir::OpKind K) const {
     auto It = ByKind.find(K);
     return It == ByKind.end() ? 0 : It->second;
   }
 
-  /// Word multiplications (Mul + MulLow), the dominant cost on GPUs.
+  /// Word multiplications, the dominant cost on GPUs: Mul + MulLow
+  /// statements plus the word multiplies of every WideMul (N*M for an
+  /// N x M full product, N(N+1)/2 for an N-word low product), so the count
+  /// does not depend on whether a product was emitted straight-line or as
+  /// a helper call.
   unsigned multiplies() const;
 
   /// Word additions/subtractions.

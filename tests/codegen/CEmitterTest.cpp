@@ -16,9 +16,11 @@
 #include "kernels/NttKernels.h"
 #include "kernels/ScalarKernels.h"
 #include "rewrite/PassManager.h"
+#include "support/Format.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -264,9 +266,11 @@ TEST(CEmitterIntegration, IdenticalKernelReusesJitModule) {
 }
 
 // Carry-chain emission: every 64-bit Add/Sub of a lowered kernel is one
-// MOMA_ADDC/MOMA_SUBB call, and both branches of the emitted prelude (the
-// x86-64 adc/sbb builtins and the portable overflow builtins) agree with
-// Bignum on operands that run each carry chain its full length.
+// MOMA_ADDC/MOMA_SUBB call, every wide product one call to its shape's
+// helper, and both branches of the emitted preludes (the x86-64 adc/sbb
+// builtins with mulx/adcx/adox rows, and the portable overflow builtins
+// with unsigned __int128 rows) agree with Bignum on operands that run each
+// carry chain its full length.
 namespace {
 
 /// Bignum reference: outputs from the data inputs and the modulus.
@@ -289,34 +293,59 @@ void carryChainCheck(const ScalarKernelSpec &Spec,
   defaultPipeline().runLowered(L);
   EmittedKernel EK = emitC(L);
 
-  // Shape: one macro call per Add/Sub; the double word only holds
-  // multiply products.
+  // Shape: one macro call per Add/Sub; outside the wide-product helpers
+  // the double word only holds multiply products; one helper definition
+  // per WideMul shape, each called.
   unsigned CarryOps = 0;
-  for (const Stmt &S : L.K.Body)
+  std::map<std::string, unsigned> Helpers; // name -> call count
+  for (const Stmt &S : L.K.Body) {
     CarryOps += S.Kind == OpKind::Add || S.Kind == OpKind::Sub;
+    if (S.Kind == OpKind::WideMul)
+      Helpers[formatv("moma_wmul_%ux%zu_%zu", S.Amount,
+                      S.Operands.size() - S.Amount, S.Results.size())] = 0;
+  }
   ASSERT_GT(CarryOps, 0u);
   const std::regex Product(R"(  unsigned __int128 t[0-9]+ = )"
                            R"(\(unsigned __int128\)v[0-9]+ \* v[0-9]+;)");
   unsigned MacroCalls = 0, Products = 0;
+  std::map<std::string, unsigned> Definitions;
+  bool InHelper = false;
   std::istringstream Lines(EK.Source);
   for (std::string Line; std::getline(Lines, Line);) {
     MacroCalls += Line.rfind("  MOMA_ADDC(", 0) == 0 ||
                   Line.rfind("  MOMA_SUBB(", 0) == 0;
-    if (Line.find("__int128") != std::string::npos) {
+    for (auto &[Name, Calls] : Helpers) {
+      Definitions[Name] += Line.rfind("static void " + Name + "(", 0) == 0;
+      Calls += Line.rfind("  " + Name + "(", 0) == 0;
+    }
+    if (Line.rfind("static void moma_wmul_", 0) == 0)
+      InHelper = true;
+    if (InHelper) {
+      InHelper = Line != "}";
+      continue;
+    }
+    if (Line.rfind("//", 0) != 0 &&
+        Line.find("__int128") != std::string::npos) {
       EXPECT_TRUE(std::regex_match(Line, Product)) << Line;
       ++Products;
     }
   }
   EXPECT_EQ(MacroCalls, CarryOps);
-  EXPECT_GT(Products, 0u);
+  // 1024-bit products are wide (rewrite::WideMulMinWords); narrower ones
+  // stay straight-line word products.
+  EXPECT_EQ(!Helpers.empty(), Spec.ContainerBits >= 1024);
+  EXPECT_EQ(Products > 0, Helpers.empty());
+  for (const auto &[Name, Calls] : Helpers) {
+    EXPECT_EQ(Definitions[Name], 1u) << Name;
+    EXPECT_GE(Calls, 1u) << Name;
+  }
 
-  // The portable branch, selected by a text edit of the x86 guard.
+  // The portable branches, selected by a text edit of the x86 guards.
   EmittedKernel Portable = EK;
   const std::string Guard = "defined(__x86_64__)";
-  size_t At = Portable.Source.find(Guard);
-  ASSERT_NE(At, std::string::npos);
-  Portable.Source.replace(At, Guard.size(), "0");
-  ASSERT_EQ(Portable.Source.find(Guard), std::string::npos);
+  ASSERT_NE(Portable.Source.find(Guard), std::string::npos);
+  for (size_t At; (At = Portable.Source.find(Guard)) != std::string::npos;)
+    Portable.Source.replace(At, Guard.size(), "0");
 
   std::shared_ptr<jit::JitModule> M = hostJit().load(EK.Source);
   ASSERT_NE(M, nullptr) << hostJit().error();
@@ -401,4 +430,22 @@ TEST(CEmitterCarryChain, Axpy1024) {
 }
 TEST(CEmitterCarryChain, Butterfly1024) {
   carryChainCheck({1024, 0}, kernels::buildButterflyKernel, 3, butterflyRef);
+}
+
+// Below rewrite::WideMulMinWords the products stay straight-line word
+// code: the benchmark's narrow kernels carry no wide-product helper.
+TEST(CEmitterWideMul, NarrowKernelsHaveNoHelper) {
+  struct Case {
+    unsigned Bits;
+    Kernel (*Build)(const ScalarKernelSpec &);
+  };
+  for (const Case &C : {Case{256, kernels::buildMulModKernel},
+                        Case{128, kernels::buildButterflyKernel},
+                        Case{64, kernels::buildMulModKernel}}) {
+    LoweredKernel L = lowerToWords(C.Build({C.Bits, 0}), {});
+    defaultPipeline().runLowered(L);
+    std::string Src = emitC(L).Source;
+    EXPECT_EQ(Src.find("moma_wmul_"), std::string::npos) << C.Bits;
+    EXPECT_EQ(Src.find("MOMA_MULX_ROWS"), std::string::npos) << C.Bits;
+  }
 }

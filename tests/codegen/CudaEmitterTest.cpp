@@ -91,3 +91,15 @@ TEST(CudaEmitter, RejectsNonButterflyKernel) {
       kernels::BlasOp::VAdd, ScalarKernelSpec{128, 0});
   EXPECT_DEATH((void)emitCudaNttStage(L), "expected butterfly ports");
 }
+
+TEST(CudaEmitter, WideProductsUsePortableDeviceRows) {
+  // 1024-bit products are wide helpers; the device copy has no x86 asm.
+  std::string Cu =
+      kernels::emitBlasCuda(kernels::BlasOp::VMul, ScalarKernelSpec{1024, 0});
+  EXPECT_NE(Cu.find("__device__ static void moma_wmul_16x16_32("),
+            std::string::npos);
+  EXPECT_NE(Cu.find("  moma_wmul_16x16_32("), std::string::npos);
+  EXPECT_NE(Cu.find("unsigned __int128 t = "), std::string::npos);
+  EXPECT_EQ(Cu.find("__asm__"), std::string::npos);
+  EXPECT_EQ(Cu.find("MOMA_MULX_ROWS"), std::string::npos);
+}

@@ -91,6 +91,46 @@ TEST(Interp, MulSplitsHiLo) {
   EXPECT_EQ((Out[0] << 64) + Out[1], X * Y);
 }
 
+TEST(Interp, WideMulFullAndLowForms) {
+  // A 3x2-word product over 64-bit word arrays (most significant first),
+  // in the full form (5 words) and the 3-word low form.
+  Kernel K;
+  K.Name = "t";
+  std::vector<ValueId> A, B;
+  for (const char *N : {"a2", "a1", "a0"}) {
+    A.push_back(K.newValue(64, N));
+    K.addInput(A.back(), N);
+  }
+  for (const char *N : {"b1", "b0"}) {
+    B.push_back(K.newValue(64, N));
+    K.addInput(B.back(), N);
+  }
+  Builder Bld(K);
+  std::vector<ValueId> Full = Bld.wideMul(A, B, 5);
+  std::vector<ValueId> Low = Bld.wideMul(A, B, 3);
+  for (ValueId V : Full)
+    K.addOutput(V, "f");
+  for (ValueId V : Low)
+    K.addOutput(V, "l");
+  Rng R(607);
+  for (int I = 0; I < 20; ++I) {
+    std::vector<Bignum> In;
+    for (int J = 0; J < 5; ++J)
+      In.push_back(I == 0 ? Bignum::powerOfTwo(64) - 1
+                          : Bignum::random(R, Bignum::powerOfTwo(64)));
+    Bignum X = (In[0] << 128) + (In[1] << 64) + In[2];
+    Bignum Y = (In[3] << 64) + In[4];
+    auto Out = interpret(K, In);
+    Bignum F(0), L(0);
+    for (int J = 0; J < 5; ++J)
+      F = (F << 64) + Out[J];
+    for (int J = 5; J < 8; ++J)
+      L = (L << 64) + Out[J];
+    EXPECT_EQ(F, X * Y);
+    EXPECT_EQ(L, (X * Y).truncate(192));
+  }
+}
+
 TEST(Interp, ModularOpsMatchOracle) {
   Rng R(601);
   for (unsigned W : {64u, 128u, 256u}) {

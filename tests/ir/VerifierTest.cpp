@@ -192,3 +192,31 @@ TEST(Verifier, CatchesWrongOperandCount) {
   K.addOutput(S.Results[1], "s");
   EXPECT_TRUE(mentions(verify(K), "wrong operand count"));
 }
+
+TEST(Verifier, WideMulShapes) {
+  // 2x2 words -> 4 (full form) is well formed; then one defect at a time.
+  auto Make = [](unsigned NA, unsigned NumOps, unsigned NumResults,
+                 unsigned BadWidthAt) {
+    Kernel K;
+    K.Name = "w";
+    Stmt S;
+    S.Kind = OpKind::WideMul;
+    S.Amount = NA;
+    for (unsigned I = 0; I < NumOps; ++I) {
+      ValueId V = K.newValue(I + 1 == BadWidthAt ? 32 : 64);
+      K.addInput(V, "x");
+      S.Operands.push_back(V);
+    }
+    for (unsigned I = 0; I < NumResults; ++I)
+      S.Results.push_back(K.newValue(64));
+    K.Body.push_back(S);
+    K.addOutput(S.Results[0], "r");
+    return verify(K);
+  };
+  EXPECT_TRUE(Make(2, 4, 4, 0).empty());
+  EXPECT_TRUE(Make(2, 4, 2, 0).empty()) << "low form";
+  EXPECT_TRUE(mentions(Make(0, 4, 4, 0), "at least one word"));
+  EXPECT_TRUE(mentions(Make(4, 4, 4, 0), "at least one word"));
+  EXPECT_TRUE(mentions(Make(2, 4, 5, 0), "result count"));
+  EXPECT_TRUE(mentions(Make(2, 4, 4, 3), "operand width mismatch"));
+}

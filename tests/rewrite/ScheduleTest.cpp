@@ -131,23 +131,27 @@ TEST(Schedule, ImprovesBreadthFirstKernels) {
 }
 
 TEST(Schedule, PressureGrowsLinearlyWithWidth) {
-  // The butterfly's live set is proportional to the element width: about
-  // 2.1x per container doubling measured. At 768 bits the kernel alone
-  // holds ~143 live words — over half the 255-register CUDA budget
-  // before the compiler's own temporaries, the mechanism behind the
-  // paper's large-width compile troubles (5.3).
+  // The straight-line butterfly's live set is proportional to the element
+  // width: about 2.1x per container doubling measured — the mechanism
+  // behind the paper's large-width compile troubles (5.3). From
+  // rewrite::WideMulMinWords words on, products are word-array helper
+  // calls instead, and the 1024-bit live set stays under the doubling.
   unsigned Prev = 0;
   for (unsigned Container : {128u, 256u, 512u, 1024u}) {
     kernels::ScalarKernelSpec Spec{Container, 0};
     LoweredKernel L = lowerToWords(kernels::buildButterflyKernel(Spec), {});
     defaultPipeline().runLowered(L);
     unsigned Peak = measurePressure(L.K).MaxLiveWords;
-    if (Prev) {
+    if (Container == 1024) {
+      EXPECT_LT(Peak, 2 * Prev - 4) << "1024-bit butterfly, wide products";
+    } else if (Prev) {
       EXPECT_GE(Peak, 2 * Prev - 4) << Container;
+    }
+    if (Container == 512) {
+      EXPECT_GE(Peak, 64u) << "512-bit butterfly live set";
     }
     Prev = Peak;
   }
-  EXPECT_GE(Prev, 128u) << "1024-bit butterfly live set";
   // Halving the machine word doubles the pressure (paper 7 small-word
   // hardware pays twice over).
   kernels::ScalarKernelSpec Spec{256, 0};

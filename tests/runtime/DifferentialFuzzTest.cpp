@@ -15,7 +15,7 @@
 //      chunks AND the scalar tail both execute), and
 //   5. the Bignum oracle (mathematical truth)
 //
-// — across widths {1, 2, 4, 8, 12} words and both reduction strategies,
+// — across widths {1, 2, 4, 8, 12, 16} words and both reduction strategies,
 // with random moduli (odd, exact bit-width, not necessarily prime) and
 // random reduced inputs. Per configuration, a few kernel variants are
 // generated (random modulus width in the word-count window, random
@@ -372,6 +372,12 @@ MOMA_FUZZ_TEST(Butterfly, 2, Montgomery, 0xF0252)
 MOMA_FUZZ_TEST(Butterfly, 4, Montgomery, 0xF0254)
 MOMA_FUZZ_TEST(Butterfly, 8, Montgomery, 0xF0258)
 MOMA_FUZZ_TEST(Butterfly, 12, Montgomery, 0xF025C)
+// 16 words: full 1024-bit containers, whose products are all wide
+// (rewrite::WideMulMinWords) and run through the unpruned helpers.
+MOMA_FUZZ_TEST(MulMod, 16, Barrett, 0xF0270)
+MOMA_FUZZ_TEST(MulMod, 16, Montgomery, 0xF0271)
+MOMA_FUZZ_TEST(Butterfly, 16, Barrett, 0xF0272)
+MOMA_FUZZ_TEST(Butterfly, 16, Montgomery, 0xF0273)
 
 //===----------------------------------------------------------------------===//
 // RNS differential fuzz: random multi-word batches through the RNS layer

@@ -191,6 +191,28 @@ TEST(VectorExecution, ElementwiseMatchesSerialBitForBit) {
   }
 }
 
+TEST(VectorExecution, WideProductHelpersMatchOracle) {
+  // 1024-bit products are wide-product helper calls inside the lane loop
+  // (vector, -O3) and the grid kernel (sim-GPU); both match Bignum.
+  Bignum Q = Bignum::powerOfTwo(1020) - Bignum(3);
+  SeededRng R(0xEC5);
+  const size_t N = 37;
+  auto A = randomElems(R, Q, N), B = randomElems(R, Q, N);
+  unsigned K = Dispatcher::elemWords(Q);
+  auto AW = packBatch(A, K), BW = packBatch(B, K);
+  rewrite::PlanOptions Grid;
+  Grid.Backend = ExecBackend::SimGpu;
+  for (const rewrite::PlanOptions &O : {vectorBase(4), Grid}) {
+    Dispatcher D(registry(), nullptr, O);
+    std::vector<std::uint64_t> C(N * K);
+    ASSERT_TRUE(D.vmul(Q, AW.data(), BW.data(), C.data(), N)) << D.error();
+    std::vector<Bignum> Got = unpackBatch(C, K);
+    for (size_t I = 0; I < N; ++I)
+      ASSERT_TRUE(Got[I] == A[I].mulMod(B[I], Q))
+          << rewrite::execBackendName(O.Backend) << " element " << I;
+  }
+}
+
 TEST(VectorExecution, AxpyBroadcastStrideAndInPlaceUpdate) {
   // axpy writes y in place with a stride-0 broadcast scalar — the
   // aliasing-heavy shape the lane gather/scatter must get right.
